@@ -65,8 +65,10 @@ equiv:
 bench:
 	go run ./cmd/geobench -o BENCH_geosphere.json
 
+# One iteration of every detector micro-benchmark and of the hard
+# decode stage (error-free bypass vs full Viterbi recursion).
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkDetect' -benchtime=1x ./...
+	go test -run '^$$' -bench 'BenchmarkDetect|BenchmarkDecodeStream' -benchtime=1x ./...
 
 # Load-test the resident serving pipeline (cmd/geocell): tens of
 # thousands of concurrent simulated user groups through the sharded
@@ -84,12 +86,15 @@ serve-bench:
 
 # A short budget on each fuzzed property: detector agreement across
 # the constellation × shape grid (Geosphere, ETH-SD, RVD and — where
-# enumerable — exhaustive ML must agree on every random instance), and
+# enumerable — exhaustive ML must agree on every random instance),
 # projection-stack consistency (cached partial projections must equal
-# from-scratch recomputation to the last ULP on any search walk).
+# from-scratch recomputation to the last ULP on any search walk), and
+# the hard-decision bypass (whenever the encoder-inverse walk accepts,
+# it must equal the full Viterbi recursion in bits and metric).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDetectAgreement -fuzztime 20s ./internal/core
 	go test -run '^$$' -fuzz FuzzProjectionCache -fuzztime 10s ./internal/core
+	go test -run '^$$' -fuzz FuzzHardDecodeBypass -fuzztime 10s ./internal/fec
 
 # The whole module, including the facade's streaming conformance and
 # Receiver-hammering tests; -short skips only the long benchmark-grade

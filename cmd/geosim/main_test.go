@@ -28,7 +28,7 @@ func populatedSnapshot() obs.Snapshot {
 			{Nodes: 2, PEDCalcs: 2, BoundChecks: 3, Prunes: 0},
 		},
 	})
-	r.RecordDecode(obs.DecodeSample{Stream: 0, PathMetric: 0.93, OK: true})
+	r.RecordDecode(obs.DecodeSample{Stream: 0, PathMetric: 0.93, OK: true, Bypassed: true})
 	r.RecordDecode(obs.DecodeSample{Stream: 1, PathMetric: 0.12, OK: false})
 	r.RecordFrame(obs.FrameSample{Frame: 0, Worker: 0, Duration: 3 * time.Millisecond, OK: true, Streams: 2, StreamErrors: 1})
 	r.RecordPoint(obs.PointSample{

@@ -34,6 +34,12 @@ func parity(x int) byte {
 // bit 0) produced when `input` enters the shift register at `state`.
 var outputs [numStates][2]byte
 
+// hardCode classifies one hard-decision correlation value (indexed by
+// its two's-complement byte) for DecodeHardBypass: bit 0 is the
+// received bit, bit 1 marks an unerased value, and bit 2 a magnitude
+// other than 0 or 1, which the bypass never accepts.
+var hardCode [256]byte
+
 func init() {
 	for s := 0; s < numStates; s++ {
 		for b := 0; b < 2; b++ {
@@ -41,6 +47,12 @@ func init() {
 			outputs[s][b] = parity(reg&g0)<<1 | parity(reg&g1)
 		}
 	}
+	for v := range hardCode {
+		hardCode[v] = 4
+	}
+	hardCode[uint8(0)] = 0
+	hardCode[uint8(1)] = 2 | 1
+	hardCode[uint8(0xff)] = 2 // −1
 }
 
 // ConvEncode encodes data bits (one bit per byte) with the rate-1/2
@@ -252,6 +264,65 @@ func (w *ViterbiWorkspace) DecodeHardMetric(vals []int8) ([]byte, float64, error
 		return nil, 0, err
 	}
 	return bits[:steps-(ConstraintLength-1)], float64(w.imetrics[0]), nil
+}
+
+// DecodeHardBypass is the error-free fast path of DecodeHardMetric: it
+// inverts the encoder over vals instead of running the add-compare-
+// select recursion. Walking the shift register, each step's input bit
+// is read off its first unerased value (input = A ⊕ parity(state &
+// 0o33), or B ⊕ parity(state & 0o71) when A is erased), and every
+// unerased value is checked against the ±1 the encoder emits there.
+// The walk accepts only if the whole sequence matches, no step has both
+// values erased, and it ends in the zero state; it stops at the first
+// mismatch, so a stream with errors costs almost nothing before the
+// caller falls back to DecodeHardMetric.
+//
+// On accept it returns exactly what DecodeHardMetric would: the same
+// information bits, and the metric, which is the number of unerased
+// values. The codeword reaches that maximum correlation, and any other
+// terminated path differs from it by a nonzero codeword whose first
+// diverging step flips both coded bits — at least one of them
+// unerased — so the other path scores at least 2 less. The
+// maximum-likelihood path is therefore unique and is the one the full
+// recursion traces back (DESIGN.md §17). The returned bits alias the
+// workspace and are valid only until the next call on w; ok is false
+// for every input the walk rejects, including malformed lengths, which
+// DecodeHardMetric then reports.
+//
+//geolint:noalloc
+func (w *ViterbiWorkspace) DecodeHardBypass(vals []int8) (bits []byte, metric float64, ok bool) {
+	steps := len(vals) / 2
+	if len(vals)%2 != 0 || steps < ConstraintLength-1 {
+		return nil, 0, false
+	}
+	if cap(w.bits) < steps {
+		w.bits = make([]byte, steps) //geolint:alloc-ok first use or longer codeword only
+	}
+	bits = w.bits[:steps]
+	state, unerased := 0, 0
+	for t := range bits {
+		ca, cb := hardCode[uint8(vals[2*t])], hardCode[uint8(vals[2*t+1])]
+		rx := ca&1<<1 | cb&1   // received bits, packed like outputs
+		live := ca&2 | cb&2>>1 // unerased positions, same packing
+		// Input 0 emits outputs[state][0]; input 1 flips both coded bits
+		// (both generators tap the input). So the unerased part of
+		// rx ⊕ outputs[state][0] is all clear for input 0, all set for
+		// input 1, and anything else is a mismatch. Computing the input
+		// this way keeps the loop free of data-dependent branches; the
+		// one branch left is taken only to reject.
+		x := (rx ^ outputs[state][0]) & live
+		in := (x | x>>1) & 1
+		if x != in*live || live == 0 || (ca|cb)&4 != 0 {
+			return nil, 0, false
+		}
+		unerased += int(live&1 + live>>1)
+		bits[t] = in
+		state = state>>1 | int(in)<<(ConstraintLength-2)
+	}
+	if state != 0 {
+		return nil, 0, false
+	}
+	return bits[:steps-(ConstraintLength-1)], float64(unerased), true
 }
 
 // runInt is the integer add-compare-select twin of run. The dead-state
@@ -477,30 +548,6 @@ func DepunctureInto(dst, llrs []float64, r Rate, motherLen int) []float64 {
 	for i := 0; i < motherLen && j < len(llrs); i++ {
 		if pat[i%len(pat)] {
 			dst[i] = llrs[j]
-			j++
-		}
-	}
-	return dst
-}
-
-// DepunctureHardInto is DepunctureInto over hard ±1 correlation
-// values, feeding the integer Viterbi path: erased positions become 0,
-// exactly the neutral value the float path would carry.
-//
-//geolint:noalloc
-func DepunctureHardInto(dst, vals []int8, r Rate, motherLen int) []int8 {
-	pat := r.puncturePattern()
-	if pat == nil {
-		copy(dst, vals)
-		return dst
-	}
-	j := 0
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i := 0; i < motherLen && j < len(vals); i++ {
-		if pat[i%len(pat)] {
-			dst[i] = vals[j]
 			j++
 		}
 	}

@@ -1,6 +1,7 @@
 package fec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 )
@@ -107,14 +108,32 @@ func Scramble(bits []byte, seed byte) []byte {
 
 // CRC32 computes the IEEE CRC-32 over data bits (one bit per byte) by
 // packing them MSB-first into bytes; ragged tails are zero-padded.
+//
+// The packing feeds a byte-at-a-time update over crc32.IEEETable
+// directly, with no packed buffer: crc32.Update dispatches through a
+// function value, so any buffer handed to it — even a fixed stack
+// chunk — escapes to the heap.
+//
+//geolint:noalloc
 func CRC32(bits []byte) uint32 {
-	packed := make([]byte, (len(bits)+7)/8)
-	for i, b := range bits {
-		if b&1 == 1 {
-			packed[i/8] |= 0x80 >> (i % 8)
-		}
+	tab := crc32.IEEETable
+	crc := ^uint32(0)
+	for len(bits) >= 8 {
+		// Branch-free pack: keep each byte's low bit, then one multiply
+		// gathers bit i of the little-endian word into bit 7−i of the
+		// top byte (the partial products never overlap, so no carries).
+		x := binary.LittleEndian.Uint64(bits) & 0x0101010101010101
+		crc = tab[byte(crc)^byte(x*0x8040201008040201>>56)] ^ crc>>8
+		bits = bits[8:]
 	}
-	return crc32.ChecksumIEEE(packed)
+	if len(bits) > 0 {
+		var v byte
+		for i, b := range bits {
+			v |= (b & 1) << (7 - i)
+		}
+		crc = tab[byte(crc)^v] ^ crc>>8
+	}
+	return ^crc
 }
 
 // AppendCRC appends the 32 CRC bits (MSB first) to bits.

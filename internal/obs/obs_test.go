@@ -237,13 +237,18 @@ func TestNopImplementsRecorder(t *testing.T) {
 func TestSnapshotWriteText(t *testing.T) {
 	r := NewStatsRecorder()
 	r.RecordDetect(DetectSample{Detector: "d", Levels: []LevelSample{{Nodes: 1, PEDCalcs: 2}}})
-	r.RecordDecode(DecodeSample{PathMetric: 0.9, OK: true})
+	r.RecordDecode(DecodeSample{PathMetric: 0.9, OK: true, Bypassed: true})
+	r.RecordDecode(DecodeSample{PathMetric: 0.5, OK: true})
 	r.RecordFrame(FrameSample{OK: true, Streams: 2})
 	r.RecordPoint(PointSample{Label: "p", Detector: "d", Constellation: "16-QAM"})
+	snap := r.Snapshot()
+	if snap.Decode.Decodes != 2 || snap.Decode.Bypassed != 1 {
+		t.Errorf("decode snapshot %+v, want 2 decodes with 1 bypassed", snap.Decode)
+	}
 	var buf bytes.Buffer
-	r.Snapshot().WriteText(&buf)
+	snap.WriteText(&buf)
 	out := buf.String()
-	for _, want := range []string{"detect:", "decode:", "frames:", "points:"} {
+	for _, want := range []string{"detect:", "decode:", "1 bypassed", "frames:", "points:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteText missing %q:\n%s", want, out)
 		}

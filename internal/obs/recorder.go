@@ -64,6 +64,11 @@ type DecodeSample struct {
 	PathMetric float64
 	// OK reports whether the stream's CRC verified.
 	OK bool
+	// Bypassed reports that the stream arrived as an exact codeword and
+	// was decoded by inverting the encoder, skipping the Viterbi
+	// add-compare-select recursion (which would have returned the same
+	// bits and metric).
+	Bypassed bool
 }
 
 // Tier identifies which rung of the overload-degradation ladder served
@@ -286,6 +291,7 @@ type StatsRecorder struct {
 	// Decoding.
 	decodes     Counter
 	crcFailures Counter
+	bypassed    Counter
 	// pathMetric buckets the per-coded-bit winning Viterbi path metric.
 	pathMetric *Histogram
 
@@ -360,6 +366,9 @@ func (r *StatsRecorder) RecordDecode(s DecodeSample) {
 	r.decodes.Inc()
 	if !s.OK {
 		r.crcFailures.Inc()
+	}
+	if s.Bypassed {
+		r.bypassed.Inc()
 	}
 	r.pathMetric.Observe(s.PathMetric)
 }
@@ -436,10 +445,13 @@ type DetectSnapshot struct {
 	PruneDepth   HistogramSnapshot `json:"prune_depth"`
 }
 
-// DecodeSnapshot aggregates the FEC layer.
+// DecodeSnapshot aggregates the FEC layer. Bypassed counts the
+// streams that arrived as exact codewords and skipped the Viterbi
+// add-compare-select recursion.
 type DecodeSnapshot struct {
 	Decodes     int64             `json:"decodes"`
 	CRCFailures int64             `json:"crc_failures"`
+	Bypassed    int64             `json:"bypassed"`
 	PathMetric  HistogramSnapshot `json:"path_metric"`
 }
 
@@ -524,6 +536,7 @@ func (r *StatsRecorder) Snapshot() Snapshot {
 		Decode: DecodeSnapshot{
 			Decodes:     r.decodes.Load(),
 			CRCFailures: r.crcFailures.Load(),
+			Bypassed:    r.bypassed.Load(),
 			PathMetric:  r.pathMetric.Snapshot(),
 		},
 		Frames: FrameSnapshot{
@@ -602,8 +615,8 @@ func (s Snapshot) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "    level %2d: %10d nodes %10d PEDs %10d bounds %10d prunes\n",
 			l.Level, l.Nodes, l.PEDCalcs, l.BoundChecks, l.Prunes)
 	}
-	fmt.Fprintf(w, "  decode: %d streams, %d CRC failures, path metric mean %.3f/bit\n",
-		s.Decode.Decodes, s.Decode.CRCFailures, s.Decode.PathMetric.Mean())
+	fmt.Fprintf(w, "  decode: %d streams, %d CRC failures, %d bypassed, path metric mean %.3f/bit\n",
+		s.Decode.Decodes, s.Decode.CRCFailures, s.Decode.Bypassed, s.Decode.PathMetric.Mean())
 	fmt.Fprintf(w, "  frames: %d (%d errors), %d streams (%d errors), %.2fs busy\n",
 		s.Frames.Frames, s.Frames.FrameErrors, s.Frames.Streams, s.Frames.StreamErrors, s.Frames.BusySeconds)
 	if total := s.Frames.PrepareHits + s.Frames.PrepareMisses + s.Frames.QRUpdates; total > 0 {

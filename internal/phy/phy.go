@@ -111,9 +111,15 @@ type Link struct {
 	// preparation through a per-worker PreparedChannel cache.
 	prep *core.PrepPool
 
-	rx  receiveScratch
-	dec decodeScratch
-	enc encodeScratch
+	rx   receiveScratch
+	dec  decodeScratch
+	hard hardStage
+	enc  encodeScratch
+
+	// forceACS makes decodeStream skip the error-free-codeword bypass
+	// and always run the full Viterbi recursion. It is an ablation seam
+	// for tests and benchmarks only; decisions are identical either way.
+	forceACS bool
 }
 
 // encodeScratch holds the per-stream encode buffers Encode reuses
@@ -143,22 +149,34 @@ type receiveScratch struct {
 	yb     []complex128
 }
 
-// decodeScratch holds the per-stream decode buffers, sized once on
-// first use so steady-state stream decoding does not allocate.
+// decodeScratch holds the per-stream soft decode buffers, sized once on
+// first use so steady-state stream decoding does not allocate, and the
+// Viterbi workspace both decode paths share.
 type decodeScratch struct {
 	coded     []float64 // deinterleaved soft coded bits, whole frame
-	codedHard []int8    // deinterleaved ±1 coded values, hard path
-	bitbuf    []byte    // per-symbol demapped bits
-	block     []byte    // one interleaver block, hard path
 	blockSoft []float64 // one interleaver block, soft path
-	deint     []byte    // deinterleaver output, hard path
 	deintSoft []float64 // deinterleaver output, soft path
 	llrs      []float64 // depunctured mother-code LLRs
-	llrsHard  []int8    // depunctured mother-code values, hard path
 	vit       fec.ViterbiWorkspace
 }
 
-// NewLink validates the configuration and builds the interleaver.
+// hardStage is the fused hard-decision decode stage: demap,
+// deinterleave and depuncture collapse into one table-driven pass that
+// writes ±1 values straight into the mother-code buffer.
+type hardStage struct {
+	// labels[idx·nbps+b] is ±1 for bit b of constellation point idx.
+	labels []int8
+	// pos[t·ncbps+j] is the mother-code slot that interleaved bit j of
+	// OFDM symbol t lands in after deinterleaving and depuncturing.
+	pos []int32
+	// vals is the mother code plus one trailing discard slot for coded
+	// bits the depuncturer would drop. Punctured slots are never
+	// written, so they stay 0 (erased) for the Link's lifetime.
+	vals []int8
+}
+
+// NewLink validates the configuration and builds the interleaver and
+// the hard-decision decode tables.
 func NewLink(cfg Config) (*Link, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -167,7 +185,65 @@ func NewLink(cfg Config) (*Link, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Link{cfg: cfg, il: il, nbps: cfg.Cons.Bits()}, nil
+	l := &Link{cfg: cfg, il: il, nbps: cfg.Cons.Bits()}
+	if err := l.buildHardStage(); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// buildHardStage fills the fused stage's tables by running the
+// reference stages themselves once over index ramps: DeinterleaveSoft
+// traces where each interleaved position goes, and Depuncture
+// where each coded position lands in the mother code (ramp value j+1,
+// so 0 still marks an erasure). The tables therefore reproduce the
+// stage-by-stage path exactly, including any coded bits the depuncturer
+// drops, which map to the discard slot.
+func (l *Link) buildHardStage() error {
+	cfg := l.cfg
+	q, ncbps := l.nbps, cfg.BitsPerSymbol()
+	hs := &l.hard
+	hs.labels = make([]int8, cfg.Cons.Size()*q)
+	bitbuf := make([]byte, q)
+	for idx := 0; idx < cfg.Cons.Size(); idx++ {
+		col, row := cfg.Cons.Coords(idx)
+		for b, bit := range cfg.Cons.SymbolBits(bitbuf, col, row) {
+			hs.labels[idx*q+b] = int8(2*int(bit&1) - 1)
+		}
+	}
+	ramp := make([]float64, ncbps)
+	for j := range ramp {
+		ramp[j] = float64(j)
+	}
+	// interPos[c] is the interleaved position of coded bit c.
+	interPos, err := l.il.DeinterleaveSoft(nil, ramp)
+	if err != nil {
+		return err
+	}
+	codedRamp := make([]float64, cfg.CodedBits())
+	for c := range codedRamp {
+		codedRamp[c] = float64(c + 1)
+	}
+	motherLen := 2 * (cfg.InfoBits() + fec.ConstraintLength - 1)
+	mother := fec.Depuncture(codedRamp, cfg.Rate, motherLen)
+	motherOf := make([]int32, len(codedRamp))
+	for c := range motherOf {
+		motherOf[c] = int32(motherLen) // dropped unless placed below
+	}
+	for m, v := range mother {
+		//geolint:float-ok ramp values are exact small integers and 0 is the depuncturer's literal erasure
+		if v != 0 && m < motherLen {
+			motherOf[int(v)-1] = int32(m)
+		}
+	}
+	hs.pos = make([]int32, cfg.CodedBits())
+	for t := 0; t < cfg.NumSymbols; t++ {
+		for c, j := range interPos {
+			hs.pos[t*ncbps+int(j)] = motherOf[t*ncbps+c]
+		}
+	}
+	hs.vals = make([]int8, motherLen+1)
+	return nil
 }
 
 // Config returns the link's frame format.
@@ -371,23 +447,8 @@ func (l *Link) TransmitReceiveCSI(src *rng.Source, f *Frame, hsTrue, hsDet []*cm
 			}
 		}
 	}
-	// Per-stream decoding.
-	for k := 0; k < nc; k++ {
-		var ok bool
-		var metric float64
-		var err error
-		if soft != nil {
-			ok, metric, err = l.decodeStreamSoft(f, detLLR, k, byte(0x5d+k))
-		} else {
-			ok, metric, err = l.decodeStream(f, detIdx, k, byte(0x5d+k))
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.StreamOK[k] = ok
-		if cfg.Recorder != nil {
-			cfg.Recorder.RecordDecode(obs.DecodeSample{Stream: k, PathMetric: metric, OK: ok})
-		}
+	if err := l.decodeFrame(f, detIdx, detLLR, soft != nil, res); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -491,25 +552,35 @@ func (l *Link) TransmitReceiveBatchCSI(srcs []*rng.Source, frames []*Frame, hsTr
 		if soft != nil {
 			fLLR = detLLR[f*T : (f+1)*T]
 		}
-		for k := 0; k < nc; k++ {
-			var ok bool
-			var metric float64
-			var err error
-			if soft != nil {
-				ok, metric, err = l.decodeStreamSoft(frames[f], fLLR, k, byte(0x5d+k))
-			} else {
-				ok, metric, err = l.decodeStream(frames[f], fIdx, k, byte(0x5d+k))
-			}
-			if err != nil {
-				return nil, err
-			}
-			results[f].StreamOK[k] = ok
-			if cfg.Recorder != nil {
-				cfg.Recorder.RecordDecode(obs.DecodeSample{Stream: k, PathMetric: metric, OK: ok})
-			}
+		if err := l.decodeFrame(frames[f], fIdx, fLLR, soft != nil, results[f]); err != nil {
+			return nil, err
 		}
 	}
 	return results, nil
+}
+
+// decodeFrame decodes every stream of frame f into res.StreamOK —
+// from the detector LLRs when soft is set, from the hard decisions
+// otherwise — and reports one DecodeSample per stream to the
+// configured Recorder.
+func (l *Link) decodeFrame(f *Frame, detIdx [][][]int, detLLR [][][]float64, soft bool, res *Result) error {
+	for k := range res.StreamOK {
+		var s obs.DecodeSample
+		var err error
+		if soft {
+			s, err = l.decodeStreamSoft(f, detLLR, k, byte(0x5d+k))
+		} else {
+			s, err = l.decodeStream(f, detIdx, k, byte(0x5d+k))
+		}
+		if err != nil {
+			return err
+		}
+		res.StreamOK[k] = s.OK
+		if l.cfg.Recorder != nil {
+			l.cfg.Recorder.RecordDecode(s)
+		}
+	}
+	return nil
 }
 
 // prepareDetector prepares det for subcarrier s's channel, through the
@@ -606,24 +677,16 @@ func (l *Link) depuncture(coded []float64) []float64 {
 	return fec.DepunctureInto(sc.llrs[:motherLen], coded, cfg.Rate, motherLen)
 }
 
-// depunctureHard is depuncture over the hard path's ±1 values.
-func (l *Link) depunctureHard(coded []int8) []int8 {
-	cfg := l.cfg
-	sc := &l.dec
-	motherLen := 2 * (cfg.InfoBits() + fec.ConstraintLength - 1)
-	if cap(sc.llrsHard) < motherLen {
-		sc.llrsHard = make([]int8, motherLen)
-	}
-	return fec.DepunctureHardInto(sc.llrsHard[:motherLen], coded, cfg.Rate, motherLen)
-}
-
 // decodeStreamSoft is decodeStream over detector LLRs: deinterleave
-// the soft values, depuncture, Viterbi-decode, CRC-check. The second
-// return value is the winning Viterbi path metric per coded bit.
-func (l *Link) decodeStreamSoft(f *Frame, detLLR [][][]float64, k int, scramblerSeed byte) (bool, float64, error) {
+// the soft values, depuncture, run the full soft Viterbi recursion,
+// check the CRC. The soft path never takes the error-free bypass: the
+// bypass's exactness rests on integer correlations that cannot tie,
+// which float sums do not guarantee.
+func (l *Link) decodeStreamSoft(f *Frame, detLLR [][][]float64, k int, scramblerSeed byte) (obs.DecodeSample, error) {
 	cfg := l.cfg
 	sc := &l.dec
 	q := cfg.Cons.Bits()
+	ds := obs.DecodeSample{Stream: k}
 	if cap(sc.coded) < cfg.CodedBits() {
 		sc.coded = make([]float64, 0, cfg.CodedBits())
 	}
@@ -639,86 +702,88 @@ func (l *Link) decodeStreamSoft(f *Frame, detLLR [][][]float64, k int, scrambler
 		}
 		deint, err := l.il.DeinterleaveSoft(sc.deintSoft[:cfg.BitsPerSymbol()], block)
 		if err != nil {
-			return false, 0, err
+			return ds, err
 		}
 		coded = append(coded, deint...)
 	}
 	llrs := l.depuncture(coded)
 	dec, metric, err := sc.vit.DecodeSoftMetric(llrs)
 	if err != nil {
-		return false, 0, err
+		return ds, err
 	}
-	metric /= float64(len(llrs))
-	fec.Scramble(dec, scramblerSeed)
-	payload, ok := fec.CheckCRC(dec)
-	if !ok || len(payload) != len(f.Payloads[k]) {
-		return false, metric, nil
-	}
-	for i, b := range f.Payloads[k] {
-		if payload[i] != b {
-			return false, metric, nil
-		}
-	}
-	return true, metric, nil
+	ds.PathMetric = metric / float64(len(llrs))
+	ds.OK = checkPayload(dec, scramblerSeed, f.Payloads[k])
+	return ds, nil
 }
 
-// decodeStream demaps, deinterleaves, depunctures, Viterbi-decodes and
-// CRC-checks stream k, comparing against the transmitted payload. The
-// second return value is the winning Viterbi path metric per coded
-// bit.
-func (l *Link) decodeStream(f *Frame, detIdx [][][]int, k int, scramblerSeed byte) (bool, float64, error) {
-	cfg := l.cfg
-	sc := &l.dec
-	if cap(sc.block) < cfg.BitsPerSymbol() {
-		sc.bitbuf = make([]byte, l.nbps)
-		sc.block = make([]byte, cfg.BitsPerSymbol())
-		sc.deint = make([]byte, cfg.BitsPerSymbol())
+// decodeStream decodes stream k from the detected point indices. The
+// fused hardValues pass builds the mother-code input; a stream that
+// arrived as an exact codeword then takes the encoder-inverse bypass,
+// and only the rest run the full add-compare-select recursion. Both
+// give identical bits and metric (fec.DecodeHardBypass), so the sample
+// differs only in Bypassed.
+//
+//geolint:noalloc
+func (l *Link) decodeStream(f *Frame, detIdx [][][]int, k int, scramblerSeed byte) (obs.DecodeSample, error) {
+	vals := l.hardValues(detIdx, k)
+	ds := obs.DecodeSample{Stream: k}
+	vit := &l.dec.vit
+	dec, metric, ok := []byte(nil), 0.0, false
+	if !l.forceACS {
+		dec, metric, ok = vit.DecodeHardBypass(vals)
 	}
-	if cap(sc.codedHard) < cfg.CodedBits() {
-		sc.codedHard = make([]int8, 0, cfg.CodedBits())
+	ds.Bypassed = ok
+	if !ok {
+		var err error
+		if dec, metric, err = vit.DecodeHardMetric(vals); err != nil {
+			return ds, err
+		}
 	}
-	coded := sc.codedHard[:0]
-	bitbuf := sc.bitbuf[:l.nbps]
-	block := sc.block[:cfg.BitsPerSymbol()]
-	for t := 0; t < cfg.NumSymbols; t++ {
-		for s := 0; s < ofdm.NumData; s++ {
-			col, row := cfg.Cons.Coords(detIdx[t][s][k])
-			cfg.Cons.SymbolBits(bitbuf, col, row)
-			copy(block[s*l.nbps:(s+1)*l.nbps], bitbuf)
-		}
-		deint, err := l.il.Deinterleave(sc.deint[:cfg.BitsPerSymbol()], block)
-		if err != nil {
-			return false, 0, err
-		}
-		for _, b := range deint {
-			if b == 1 {
-				coded = append(coded, 1)
-			} else {
-				coded = append(coded, -1)
+	ds.PathMetric = metric / float64(len(vals))
+	ds.OK = checkPayload(dec, scramblerSeed, f.Payloads[k])
+	return ds, nil
+}
+
+// hardValues is the fused hard-decision front end of stream k: one
+// pass over the frame's detected points that demaps, deinterleaves and
+// depunctures at once, writing each bit's ±1 straight into its
+// mother-code slot through the hardStage tables. The returned slice
+// aliases the Link's buffer and is valid until the next call.
+//
+//geolint:noalloc
+func (l *Link) hardValues(detIdx [][][]int, k int) []int8 {
+	hs := &l.hard
+	q := l.nbps
+	vals, pos := hs.vals, hs.pos
+	i := 0
+	for _, row := range detIdx[:l.cfg.NumSymbols] {
+		for _, pts := range row {
+			idx := pts[k]
+			for _, v := range hs.labels[idx*q : (idx+1)*q] {
+				vals[pos[i]] = v
+				i++
 			}
 		}
 	}
-	vals := l.depunctureHard(coded)
-	dec, metric, err := sc.vit.DecodeHardMetric(vals)
-	if err != nil {
-		return false, 0, err
-	}
-	metric /= float64(len(vals))
+	return vals[:len(vals)-1] // drop the discard slot
+}
+
+// checkPayload descrambles decoded info bits in place, verifies their
+// CRC and compares the payload with the transmitted one: a CRC pass
+// with a wrong payload would be a miss, so the simulator never
+// overcounts goodput.
+//
+//geolint:noalloc
+func checkPayload(dec []byte, scramblerSeed byte, want []byte) bool {
 	fec.Scramble(dec, scramblerSeed)
 	payload, ok := fec.CheckCRC(dec)
-	if !ok {
-		return false, metric, nil
-	}
-	// A CRC pass with a wrong payload would be a miss; verify against
-	// the transmitted bits so the simulator never overcounts goodput.
-	want := f.Payloads[k]
-	if len(payload) != len(want) {
-		return false, metric, nil
+	if !ok || len(payload) != len(want) {
+		return false
 	}
 	for i := range want {
 		if payload[i] != want[i] {
-			return false, metric, nil
+			return false
 		}
 	}
-	return true, metric, nil
+	return true
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -377,12 +376,14 @@ func TestQuantileExact(t *testing.T) {
 }
 
 func TestHandler(t *testing.T) {
-	s, err := New(quickConfig())
+	pipeline := obs.NewStatsRecorder()
+	cfg := quickConfig()
+	cfg.Recorder = pipeline
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	pipeline := obs.NewStatsRecorder()
 	ts := httptest.NewServer(NewHandler(s, pipeline))
 	defer ts.Close()
 
@@ -425,8 +426,8 @@ func TestHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats struct {
-		Serve    StatsSnapshot   `json:"serve"`
-		Pipeline json.RawMessage `json:"pipeline"`
+		Serve    StatsSnapshot `json:"serve"`
+		Pipeline *obs.Snapshot `json:"pipeline"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
@@ -435,7 +436,12 @@ func TestHandler(t *testing.T) {
 	if stats.Serve.Frames != 3 {
 		t.Fatalf("stats served %d frames, want 3", stats.Serve.Frames)
 	}
-	if len(stats.Pipeline) == 0 || strings.TrimSpace(string(stats.Pipeline)) == "null" {
+	if stats.Pipeline == nil {
 		t.Fatal("pipeline snapshot missing from /stats")
+	}
+	// The quick format decodes cleanly, so an operator sees the streams
+	// that skipped the Viterbi recursion.
+	if d := stats.Pipeline.Decode; d.Decodes == 0 || d.Bypassed == 0 || d.Bypassed > d.Decodes {
+		t.Fatalf("/stats decode section: %d decodes, %d bypassed", d.Decodes, d.Bypassed)
 	}
 }
