@@ -66,9 +66,10 @@ bench:
 	go run ./cmd/geobench -o BENCH_geosphere.json
 
 # One iteration of every detector micro-benchmark and of the hard
-# decode stage (error-free bypass vs full Viterbi recursion).
+# decode stage: a 4×4 frame (error-free bypass, lane-parallel
+# recursion, one-codeword ablation) and the fec kernels alone.
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkDetect|BenchmarkDecodeStream' -benchtime=1x ./...
+	go test -run '^$$' -bench 'BenchmarkDetect|BenchmarkDecodeFrame|BenchmarkDecodeHard' -benchtime=1x ./...
 
 # Load-test the resident serving pipeline (cmd/geocell): tens of
 # thousands of concurrent simulated user groups through the sharded
@@ -88,13 +89,16 @@ serve-bench:
 # the constellation × shape grid (Geosphere, ETH-SD, RVD and — where
 # enumerable — exhaustive ML must agree on every random instance),
 # projection-stack consistency (cached partial projections must equal
-# from-scratch recomputation to the last ULP on any search walk), and
-# the hard-decision bypass (whenever the encoder-inverse walk accepts,
-# it must equal the full Viterbi recursion in bits and metric).
+# from-scratch recomputation to the last ULP on any search walk), the
+# hard-decision bypass (whenever the encoder-inverse walk accepts, it
+# must equal the full Viterbi recursion in bits and metric), and the
+# lane-parallel recursion (every lane must equal the one-codeword
+# recursion in bits and metric).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDetectAgreement -fuzztime 20s ./internal/core
 	go test -run '^$$' -fuzz FuzzProjectionCache -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz FuzzHardDecodeBypass -fuzztime 10s ./internal/fec
+	go test -run '^$$' -fuzz FuzzHardDecodeLanes -fuzztime 10s ./internal/fec
 
 # The whole module, including the facade's streaming conformance and
 # Receiver-hammering tests; -short skips only the long benchmark-grade

@@ -300,7 +300,8 @@ func TestCRC32ZeroAllocs(t *testing.T) {
 
 // BenchmarkDecodeHard compares the encoder-inverse bypass with the full
 // recursion on one clean 768-step codeword (a 16-QAM, 8-symbol,
-// rate-1/2 stream).
+// rate-1/2 stream). "lanes" decodes MaxLanes copies of it in one
+// lane-parallel pass, so one op there is MaxLanes codewords.
 func BenchmarkDecodeHard(b *testing.B) {
 	vals := hardVals(ConvEncode(randBits(rand.New(rand.NewSource(17)), 762)), Rate12)
 	var w ViterbiWorkspace
@@ -312,6 +313,15 @@ func BenchmarkDecodeHard(b *testing.B) {
 	b.Run("acs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			w.DecodeHardMetric(vals)
+		}
+	})
+	b.Run("lanes", func(b *testing.B) {
+		lanes := [][]int8{vals, vals, vals, vals}
+		w.DecodeHardLanes(lanes)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w.DecodeHardLanes(lanes)
 		}
 	})
 }

@@ -131,6 +131,10 @@ type ViterbiWorkspace struct {
 	survivors []int16  // steps×numStates packed predecessor decisions (float path)
 	survWords []uint64 // one decision bit per state per step (integer path)
 	bits      []byte
+	lmetrics  []uint64 // lane-packed metrics and their next-step twin (DecodeHardLanes)
+	laneSurv  []uint64 // MaxLanes words of lane decisions per step
+	laneBits  []byte   // MaxLanes·steps decoded bits, lane-major
+	laneIn    []uint64 // one word of packed lane inputs per step
 }
 
 // DecodeSoftMetric is ViterbiDecodeSoftMetric running in w's reusable

@@ -238,17 +238,21 @@ func TestSnapshotWriteText(t *testing.T) {
 	r := NewStatsRecorder()
 	r.RecordDetect(DetectSample{Detector: "d", Levels: []LevelSample{{Nodes: 1, PEDCalcs: 2}}})
 	r.RecordDecode(DecodeSample{PathMetric: 0.9, OK: true, Bypassed: true})
-	r.RecordDecode(DecodeSample{PathMetric: 0.5, OK: true})
+	r.RecordDecode(DecodeSample{PathMetric: 0.5, OK: true, ACSLanes: 1})
+	// One three-lane ACS call: three streams, one call.
+	for k := 0; k < 3; k++ {
+		r.RecordDecode(DecodeSample{Stream: k, PathMetric: 0.5, OK: true, ACSLanes: 3})
+	}
 	r.RecordFrame(FrameSample{OK: true, Streams: 2})
 	r.RecordPoint(PointSample{Label: "p", Detector: "d", Constellation: "16-QAM"})
 	snap := r.Snapshot()
-	if snap.Decode.Decodes != 2 || snap.Decode.Bypassed != 1 {
-		t.Errorf("decode snapshot %+v, want 2 decodes with 1 bypassed", snap.Decode)
+	if d := snap.Decode; d.Decodes != 5 || d.Bypassed != 1 || d.ACSCalls != 2 || d.ACSLanes != 4 {
+		t.Errorf("decode snapshot %+v, want 5 decodes, 1 bypassed, 2 ACS calls over 4 lanes", d)
 	}
 	var buf bytes.Buffer
 	snap.WriteText(&buf)
 	out := buf.String()
-	for _, want := range []string{"detect:", "decode:", "1 bypassed", "frames:", "points:"} {
+	for _, want := range []string{"detect:", "decode:", "1 bypassed", "2 ACS calls (2.00 lanes/call)", "frames:", "points:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteText missing %q:\n%s", want, out)
 		}

@@ -69,7 +69,15 @@ type DecodeSample struct {
 	// add-compare-select recursion (which would have returned the same
 	// bits and metric).
 	Bypassed bool
+	// ACSLanes is the number of streams the add-compare-select call
+	// that decoded this stream served at once (1..MaxACSLanes): 0 when
+	// the stream was bypassed, 1 for a one-codeword recursion.
+	ACSLanes int
 }
+
+// MaxACSLanes is the largest ACSLanes a decoder reports: one lane-
+// parallel add-compare-select pass serves at most four codewords.
+const MaxACSLanes = 4
 
 // Tier identifies which rung of the overload-degradation ladder served
 // a frame: the full Geosphere search, the bounded K-best search, or
@@ -292,6 +300,10 @@ type StatsRecorder struct {
 	decodes     Counter
 	crcFailures Counter
 	bypassed    Counter
+	// acsStreams[n] counts streams decoded by an n-lane ACS call. The n
+	// streams of one call report the same n, so the call count is
+	// Σ acsStreams[n]/n.
+	acsStreams [MaxACSLanes + 1]Counter
 	// pathMetric buckets the per-coded-bit winning Viterbi path metric.
 	pathMetric *Histogram
 
@@ -370,6 +382,9 @@ func (r *StatsRecorder) RecordDecode(s DecodeSample) {
 	if s.Bypassed {
 		r.bypassed.Inc()
 	}
+	if n := s.ACSLanes; n > 0 && n <= MaxACSLanes {
+		r.acsStreams[n].Inc()
+	}
 	r.pathMetric.Observe(s.PathMetric)
 }
 
@@ -447,11 +462,16 @@ type DetectSnapshot struct {
 
 // DecodeSnapshot aggregates the FEC layer. Bypassed counts the
 // streams that arrived as exact codewords and skipped the Viterbi
-// add-compare-select recursion.
+// add-compare-select recursion. ACSCalls counts add-compare-select
+// recursions and ACSLanes the streams they decoded, so
+// ACSLanes/ACSCalls is the mean lane fill: how well the decoder
+// batches its error-carrying streams.
 type DecodeSnapshot struct {
 	Decodes     int64             `json:"decodes"`
 	CRCFailures int64             `json:"crc_failures"`
 	Bypassed    int64             `json:"bypassed"`
+	ACSCalls    int64             `json:"acs_calls"`
+	ACSLanes    int64             `json:"acs_lanes"`
 	PathMetric  HistogramSnapshot `json:"path_metric"`
 }
 
@@ -568,6 +588,11 @@ func (r *StatsRecorder) Snapshot() Snapshot {
 		Workers: []WorkerSnapshot{},
 		Points:  []PointSample{},
 	}
+	for n := 1; n <= MaxACSLanes; n++ {
+		streams := r.acsStreams[n].Load()
+		s.Decode.ACSLanes += streams
+		s.Decode.ACSCalls += streams / int64(n)
+	}
 	top := -1
 	for l := range r.levels {
 		if r.levels[l].nodes.Load() > 0 || r.levels[l].prunes.Load() > 0 {
@@ -615,8 +640,12 @@ func (s Snapshot) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "    level %2d: %10d nodes %10d PEDs %10d bounds %10d prunes\n",
 			l.Level, l.Nodes, l.PEDCalcs, l.BoundChecks, l.Prunes)
 	}
-	fmt.Fprintf(w, "  decode: %d streams, %d CRC failures, %d bypassed, path metric mean %.3f/bit\n",
-		s.Decode.Decodes, s.Decode.CRCFailures, s.Decode.Bypassed, s.Decode.PathMetric.Mean())
+	laneFill := 0.0
+	if s.Decode.ACSCalls > 0 {
+		laneFill = float64(s.Decode.ACSLanes) / float64(s.Decode.ACSCalls)
+	}
+	fmt.Fprintf(w, "  decode: %d streams, %d CRC failures, %d bypassed, %d ACS calls (%.2f lanes/call), path metric mean %.3f/bit\n",
+		s.Decode.Decodes, s.Decode.CRCFailures, s.Decode.Bypassed, s.Decode.ACSCalls, laneFill, s.Decode.PathMetric.Mean())
 	fmt.Fprintf(w, "  frames: %d (%d errors), %d streams (%d errors), %.2fs busy\n",
 		s.Frames.Frames, s.Frames.FrameErrors, s.Frames.Streams, s.Frames.StreamErrors, s.Frames.BusySeconds)
 	if total := s.Frames.PrepareHits + s.Frames.PrepareMisses + s.Frames.QRUpdates; total > 0 {

@@ -95,90 +95,124 @@ func TestHardValuesMatchStagewise(t *testing.T) {
 }
 
 // TestDecodeStreamBypassMatchesACS runs identical frames through a
-// Link and through its ablated twin that always runs the full Viterbi
-// recursion: every result and every decode sample must agree, apart
-// from Bypassed. The SNR sweep makes sure both outcomes of the bypass
-// occur, including streams the ACS corrects after the bypass rejected
-// them.
+// Link and through its ablated twin that runs the one-codeword Viterbi
+// recursion on every stream: every result and every decode sample must
+// agree, in value and stream order, apart from Bypassed and ACSLanes.
+// The sweep covers 2-stream frames and 4-stream (4×4) frames, whose
+// SNR range yields every count of bypass-rejected streams from 0 to 4,
+// so the lane-parallel recursion runs on groups of 2, 3 and 4 and the
+// one-codeword recursion on lone streams, including streams it
+// corrects after the bypass rejected them.
 func TestDecodeStreamBypassMatchesACS(t *testing.T) {
-	var bypassed, fellBack, corrected int
-	for _, cons := range []*constellation.Constellation{constellation.QPSK, constellation.QAM16, constellation.QAM64} {
-		for _, rate := range []fec.Rate{fec.Rate12, fec.Rate23, fec.Rate34} {
-			var fast, full decodeCapture
-			cfg := Config{Cons: cons, Rate: rate, NumSymbols: 2, Recorder: &fast}
-			l, err := NewLink(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Recorder = &full
-			ref, err := NewLink(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.forceACS = true
-			det := linear.NewZF(cons)
-			for i, snr := range []float64{40, 24, 18, 14, 10} {
-				seed := int64(100*i) + int64(rate)
-				frame, err := l.Encode(rng.New(seed), 2)
+	if fec.MaxLanes > obs.MaxACSLanes {
+		t.Fatalf("fec.MaxLanes = %d exceeds obs.MaxACSLanes = %d", fec.MaxLanes, obs.MaxACSLanes)
+	}
+	var bypassed, fellBack, corrected, multiLane int
+	var rejectedFrames [5]int // 4-stream frames by bypass-rejected streams
+	for _, nc := range []int{2, 4} {
+		for _, cons := range []*constellation.Constellation{constellation.QPSK, constellation.QAM16, constellation.QAM64} {
+			for _, rate := range []fec.Rate{fec.Rate12, fec.Rate23, fec.Rate34} {
+				var fast, full decodeCapture
+				cfg := Config{Cons: cons, Rate: rate, NumSymbols: 2, Recorder: &fast}
+				l, err := NewLink(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				hs := perSCChannels(rng.New(seed+1), 4, 2)
-				noise := channel.NoiseVarForSNRdB(snr)
-				a, err := l.TransmitReceive(rng.New(seed+2), frame, hs, det, noise)
+				cfg.Recorder = &full
+				ref, err := NewLink(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := ref.TransmitReceive(rng.New(seed+2), frame, hs, det, noise)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(a) != fmt.Sprint(b) {
-					t.Fatalf("%s rate %s %g dB: results differ: %+v vs %+v", cons, rate, snr, a, b)
-				}
-			}
-			if len(fast.samples) != len(full.samples) {
-				t.Fatalf("%d vs %d decode samples", len(fast.samples), len(full.samples))
-			}
-			for i, s := range fast.samples {
-				r := full.samples[i]
-				if r.Bypassed {
-					t.Fatal("ablated link reported a bypass")
-				}
-				if s.Bypassed {
-					bypassed++
-				} else {
-					fellBack++
-					if s.OK {
-						corrected++
+				ref.forceACS = true
+				det := linear.NewZF(cons)
+				for i, snr := range []float64{40, 30, 24, 21, 18, 14, 10} {
+					seed := int64(100*i) + int64(rate) + int64(10*nc)
+					frame, err := l.Encode(rng.New(seed), nc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					hs := perSCChannels(rng.New(seed+1), 4, nc)
+					noise := channel.NoiseVarForSNRdB(snr)
+					a, err := l.TransmitReceive(rng.New(seed+2), frame, hs, det, noise)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := ref.TransmitReceive(rng.New(seed+2), frame, hs, det, noise)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fmt.Sprint(a) != fmt.Sprint(b) {
+						t.Fatalf("%s rate %s %g dB: results differ: %+v vs %+v", cons, rate, snr, a, b)
 					}
 				}
-				s.Bypassed = false
-				if s != r {
-					t.Fatalf("%s rate %s sample %d: %+v, full recursion %+v", cons, rate, i, s, r)
+				if len(fast.samples) != len(full.samples) {
+					t.Fatalf("%d vs %d decode samples", len(fast.samples), len(full.samples))
+				}
+				for i, s := range fast.samples {
+					r := full.samples[i]
+					if r.Bypassed || r.ACSLanes != 1 {
+						t.Fatalf("ablated link sample %+v, want the one-codeword recursion", r)
+					}
+					frame := fast.samples[i-i%nc : i-i%nc+nc]
+					rejected := 0
+					for _, fs := range frame {
+						if !fs.Bypassed {
+							rejected++
+						}
+					}
+					if s.Stream == 0 && nc == 4 {
+						rejectedFrames[rejected]++
+					}
+					if s.Bypassed {
+						bypassed++
+						if s.ACSLanes != 0 {
+							t.Fatalf("bypassed sample %+v reports ACS lanes", s)
+						}
+					} else {
+						fellBack++
+						if s.OK {
+							corrected++
+						}
+						// Up to fec.MaxLanes rejected streams share one pass.
+						if s.ACSLanes != rejected {
+							t.Fatalf("%s rate %s sample %d: %d ACS lanes in a frame with %d rejected streams", cons, rate, i, s.ACSLanes, rejected)
+						}
+						if s.ACSLanes > 1 {
+							multiLane++
+						}
+					}
+					s.Bypassed, s.ACSLanes = false, 1
+					if s != r {
+						t.Fatalf("%s rate %s sample %d: %+v, full recursion %+v", cons, rate, i, s, r)
+					}
 				}
 			}
 		}
 	}
-	t.Logf("%d bypassed, %d fell back (%d of them corrected by the ACS)", bypassed, fellBack, corrected)
-	if bypassed == 0 || fellBack == 0 || corrected == 0 {
-		t.Fatal("SNR sweep did not exercise both bypass outcomes and an ACS correction")
+	t.Logf("%d bypassed, %d fell back (%d of them corrected by the ACS, %d in multi-lane passes); 4-stream frames by rejected streams: %v",
+		bypassed, fellBack, corrected, multiLane, rejectedFrames)
+	if bypassed == 0 || fellBack == 0 || corrected == 0 || multiLane == 0 {
+		t.Fatal("SNR sweep did not exercise both bypass outcomes, an ACS correction and a multi-lane pass")
+	}
+	for r, n := range rejectedFrames {
+		if n == 0 {
+			t.Errorf("no 4-stream frame with %d rejected streams", r)
+		}
 	}
 }
 
-// decodeFixture builds a Link in the serving format (16-QAM, rate 1/2,
-// 8 symbols, 2 streams over 4 antennas) holding one noiseless frame's
-// detections. With oneError set, one detected point moves to its
-// neighbour, a single coded-bit error the bypass rejects and the ACS
-// corrects.
-func decodeFixture(tb testing.TB, oneError bool) (*Link, *Frame, [][][]int) {
+// decodeFixture builds a Link in the 4×4 16-QAM serving format (rate
+// 1/2, 8 symbols) holding one noiseless frame's detections. In the
+// first errs streams one detected point moves to its neighbour: a
+// single coded-bit error the bypass rejects and the ACS corrects.
+func decodeFixture(tb testing.TB, errs int) (*Link, *Frame, [][][]int, *Result) {
 	tb.Helper()
 	cfg := Config{Cons: constellation.QAM16, Rate: fec.Rate12, NumSymbols: 8}
 	l, err := NewLink(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	const na, nc = 4, 2
+	const na, nc = 4, 4
 	src := rng.New(9)
 	f, err := l.Encode(src, nc)
 	if err != nil {
@@ -188,60 +222,73 @@ func decodeFixture(tb testing.TB, oneError bool) (*Link, *Frame, [][][]int) {
 		tb.Fatal(err)
 	}
 	detIdx, _, _ := l.sizeReceive(cfg.NumSymbols, nc, na, false)
-	if oneError {
-		detIdx[3][17][0] ^= 1
+	for k := 0; k < errs; k++ {
+		detIdx[3][17][k] ^= 1
 	}
-	return l, f, detIdx
+	return l, f, detIdx, &Result{StreamOK: make([]bool, nc)}
 }
 
-// TestDecodeStreamZeroAllocs pins the fused decode stage's allocation
-// contract on both bypass outcomes: after the first frame sizes the
-// Viterbi workspace, decoding a stream allocates nothing.
-func TestDecodeStreamZeroAllocs(t *testing.T) {
-	for _, oneError := range []bool{false, true} {
-		l, f, detIdx := decodeFixture(t, oneError)
-		var ds obs.DecodeSample
+// TestDecodeFrameZeroAllocs pins the hard decode stage's allocation
+// contract on a clean frame (every stream bypassed), a frame with one
+// error-carrying stream (the one-codeword recursion) and one where
+// every stream carries an error (one four-lane pass): after the first
+// frame sizes the buffers, decoding a frame allocates nothing.
+func TestDecodeFrameZeroAllocs(t *testing.T) {
+	for _, errs := range []int{0, 1, 4} {
+		l, f, detIdx, res := decodeFixture(t, errs)
+		var rec decodeCapture
+		l.cfg.Recorder = &rec
+		if err := l.decodeFrame(f, detIdx, nil, false, res); err != nil {
+			t.Fatal(err)
+		}
+		for k, s := range rec.samples {
+			wantLanes := 0
+			if k < errs {
+				wantLanes = errs
+			}
+			if !s.OK || s.Bypassed != (k >= errs) || s.ACSLanes != wantLanes {
+				t.Errorf("%d errors: stream %d sample %+v", errs, k, s)
+			}
+		}
+		l.cfg.Recorder = nil
 		allocs := testing.AllocsPerRun(20, func() {
-			var err error
-			if ds, err = l.decodeStream(f, detIdx, 0, 0x5d); err != nil {
+			if err := l.decodeFrame(f, detIdx, nil, false, res); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs > 0 {
-			t.Errorf("oneError=%v: %g allocs per stream decode, want 0", oneError, allocs)
-		}
-		if !ds.OK || ds.Bypassed == oneError {
-			t.Errorf("oneError=%v: decode sample %+v", oneError, ds)
+			t.Errorf("%d errors: %g allocs per frame decode, want 0", errs, allocs)
 		}
 	}
 }
 
-// BenchmarkDecodeStream times one stream's hard-decision decode stage
-// in the serving format: "clean" takes the encoder-inverse bypass,
-// "one-error" pays the rejected walk plus the full recursion, and the
-// "-acs" variants force the full recursion (the ablation).
-func BenchmarkDecodeStream(b *testing.B) {
+// BenchmarkDecodeFrame times one 4×4 frame's hard-decision decode
+// stage in the serving format: "clean" bypasses every stream,
+// "all-errors" decodes all four streams in one lane-parallel pass, and
+// "all-errors-acs" forces the one-codeword recursion per stream (the
+// ablation).
+func BenchmarkDecodeFrame(b *testing.B) {
 	for _, bc := range []struct {
-		name               string
-		oneError, forceACS bool
+		name     string
+		errs     int
+		forceACS bool
 	}{
-		{"clean", false, false},
-		{"one-error", true, false},
-		{"clean-acs", false, true},
-		{"one-error-acs", true, true},
+		{"clean", 0, false},
+		{"all-errors", 4, false},
+		{"all-errors-acs", 4, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			l, f, detIdx := decodeFixture(b, bc.oneError)
+			l, f, detIdx, res := decodeFixture(b, bc.errs)
 			l.forceACS = bc.forceACS
-			// One untimed decode sizes the recursion's workspace, so even
+			// One untimed decode sizes the buffers, so even
 			// -benchtime=1x reports the steady-state allocation count.
-			if _, err := l.decodeStream(f, detIdx, 0, 0x5d); err != nil {
+			if err := l.decodeFrame(f, detIdx, nil, false, res); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := l.decodeStream(f, detIdx, 0, 0x5d); err != nil {
+				if err := l.decodeFrame(f, detIdx, nil, false, res); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -116,9 +116,10 @@ type Link struct {
 	hard hardStage
 	enc  encodeScratch
 
-	// forceACS makes decodeStream skip the error-free-codeword bypass
-	// and always run the full Viterbi recursion. It is an ablation seam
-	// for tests and benchmarks only; decisions are identical either way.
+	// forceACS makes decodeHard skip the error-free-codeword bypass and
+	// run the full one-codeword Viterbi recursion on every stream. It is
+	// an ablation seam for tests and benchmarks only; decisions are
+	// identical either way.
 	forceACS bool
 }
 
@@ -149,14 +150,17 @@ type receiveScratch struct {
 	yb     []complex128
 }
 
-// decodeScratch holds the per-stream soft decode buffers, sized once on
-// first use so steady-state stream decoding does not allocate, and the
-// Viterbi workspace both decode paths share.
+// decodeScratch holds the per-stream soft decode buffers and the
+// per-frame decode samples, sized once on first use so steady-state
+// decoding does not allocate, and the Viterbi workspace both decode
+// paths share.
 type decodeScratch struct {
 	coded     []float64 // deinterleaved soft coded bits, whole frame
 	blockSoft []float64 // one interleaver block, soft path
 	deintSoft []float64 // deinterleaver output, soft path
 	llrs      []float64 // depunctured mother-code LLRs
+	samples   []obs.DecodeSample
+	rejected  []int // hard path: streams the bypass handed to the ACS
 	vit       fec.ViterbiWorkspace
 }
 
@@ -169,10 +173,19 @@ type hardStage struct {
 	// pos[t·ncbps+j] is the mother-code slot that interleaved bit j of
 	// OFDM symbol t lands in after deinterleaving and depuncturing.
 	pos []int32
-	// vals is the mother code plus one trailing discard slot for coded
-	// bits the depuncturer would drop. Punctured slots are never
-	// written, so they stay 0 (erased) for the Link's lifetime.
-	vals []int8
+	// vals[k] is stream k's mother code plus one trailing discard slot
+	// for coded bits the depuncturer would drop. Punctured slots are
+	// never written, so they stay 0 (erased) for the Link's lifetime.
+	// Every stream keeps its own buffer, so the streams the bypass
+	// rejects can run the add-compare-select recursion together.
+	vals [][]int8
+}
+
+// mother returns stream k's mother-code values, without the discard
+// slot.
+func (hs *hardStage) mother(k int) []int8 {
+	v := hs.vals[k]
+	return v[:len(v)-1]
 }
 
 // NewLink validates the configuration and builds the interleaver and
@@ -242,7 +255,7 @@ func (l *Link) buildHardStage() error {
 			hs.pos[t*ncbps+int(j)] = motherOf[t*ncbps+c]
 		}
 	}
-	hs.vals = make([]int8, motherLen+1)
+	hs.vals = [][]int8{make([]int8, motherLen+1)}
 	return nil
 }
 
@@ -561,20 +574,28 @@ func (l *Link) TransmitReceiveBatchCSI(srcs []*rng.Source, frames []*Frame, hsTr
 
 // decodeFrame decodes every stream of frame f into res.StreamOK —
 // from the detector LLRs when soft is set, from the hard decisions
-// otherwise — and reports one DecodeSample per stream to the
-// configured Recorder.
+// otherwise — and reports one DecodeSample per stream, in stream
+// order, to the configured Recorder.
 func (l *Link) decodeFrame(f *Frame, detIdx [][][]int, detLLR [][][]float64, soft bool, res *Result) error {
-	for k := range res.StreamOK {
-		var s obs.DecodeSample
-		var err error
-		if soft {
-			s, err = l.decodeStreamSoft(f, detLLR, k, byte(0x5d+k))
-		} else {
-			s, err = l.decodeStream(f, detIdx, k, byte(0x5d+k))
+	nc := len(res.StreamOK)
+	sc := &l.dec
+	if cap(sc.samples) < nc {
+		sc.samples = make([]obs.DecodeSample, nc)
+		sc.rejected = make([]int, nc)
+	}
+	samples := sc.samples[:nc]
+	if soft {
+		for k := range samples {
+			s, err := l.decodeStreamSoft(f, detLLR, k, byte(0x5d+k))
+			if err != nil {
+				return err
+			}
+			samples[k] = s
 		}
-		if err != nil {
-			return err
-		}
+	} else if err := l.decodeHard(f, detIdx, samples); err != nil {
+		return err
+	}
+	for k, s := range samples {
 		res.StreamOK[k] = s.OK
 		if l.cfg.Recorder != nil {
 			l.cfg.Recorder.RecordDecode(s)
@@ -686,7 +707,7 @@ func (l *Link) decodeStreamSoft(f *Frame, detLLR [][][]float64, k int, scrambler
 	cfg := l.cfg
 	sc := &l.dec
 	q := cfg.Cons.Bits()
-	ds := obs.DecodeSample{Stream: k}
+	ds := obs.DecodeSample{Stream: k, ACSLanes: 1}
 	if cap(sc.coded) < cfg.CodedBits() {
 		sc.coded = make([]float64, 0, cfg.CodedBits())
 	}
@@ -716,45 +737,90 @@ func (l *Link) decodeStreamSoft(f *Frame, detLLR [][][]float64, k int, scrambler
 	return ds, nil
 }
 
-// decodeStream decodes stream k from the detected point indices. The
-// fused hardValues pass builds the mother-code input; a stream that
-// arrived as an exact codeword then takes the encoder-inverse bypass,
-// and only the rest run the full add-compare-select recursion. Both
-// give identical bits and metric (fec.DecodeHardBypass), so the sample
-// differs only in Bypassed.
+// decodeHard decodes every stream of frame f from the detected point
+// indices into samples. Each stream's fused front end (hardValues)
+// fills its own mother-code buffer, and a stream that arrived as an
+// exact codeword takes the encoder-inverse bypass. The streams the
+// bypass rejected then run the add-compare-select recursion together,
+// up to fec.MaxLanes per lane-parallel pass; a lone one runs the
+// one-codeword DecodeHardMetric, which is cheaper than a one-lane
+// pass. All three give identical bits and metric, so the samples
+// differ only in Bypassed and ACSLanes.
 //
 //geolint:noalloc
-func (l *Link) decodeStream(f *Frame, detIdx [][][]int, k int, scramblerSeed byte) (obs.DecodeSample, error) {
-	vals := l.hardValues(detIdx, k)
-	ds := obs.DecodeSample{Stream: k}
+func (l *Link) decodeHard(f *Frame, detIdx [][][]int, samples []obs.DecodeSample) error {
 	vit := &l.dec.vit
-	dec, metric, ok := []byte(nil), 0.0, false
-	if !l.forceACS {
-		dec, metric, ok = vit.DecodeHardBypass(vals)
+	rejected := l.dec.rejected[:0:len(samples)]
+	for k := range samples {
+		vals := l.hardValues(detIdx, k)
+		samples[k] = obs.DecodeSample{Stream: k}
+		if !l.forceACS {
+			if dec, metric, ok := vit.DecodeHardBypass(vals); ok {
+				samples[k].Bypassed = true
+				finishHard(f, &samples[k], dec, metric, len(vals))
+				continue
+			}
+		}
+		rejected = rejected[:len(rejected)+1]
+		rejected[len(rejected)-1] = k
 	}
-	ds.Bypassed = ok
-	if !ok {
-		var err error
-		if dec, metric, err = vit.DecodeHardMetric(vals); err != nil {
-			return ds, err
+	lanes := fec.MaxLanes
+	if l.forceACS {
+		lanes = 1
+	}
+	for len(rejected) > 0 {
+		group := rejected[:min(lanes, len(rejected))]
+		rejected = rejected[len(group):]
+		if len(group) == 1 {
+			k := group[0]
+			vals := l.hard.mother(k)
+			dec, metric, err := vit.DecodeHardMetric(vals)
+			if err != nil {
+				return err
+			}
+			samples[k].ACSLanes = 1
+			finishHard(f, &samples[k], dec, metric, len(vals))
+			continue
+		}
+		var in [fec.MaxLanes][]int8
+		for i, k := range group {
+			in[i] = l.hard.mother(k)
+		}
+		bits, metrics, err := vit.DecodeHardLanes(in[:len(group)])
+		if err != nil {
+			return err
+		}
+		for i, k := range group {
+			samples[k].ACSLanes = len(group)
+			finishHard(f, &samples[k], bits[i], metrics[i], len(in[i]))
 		}
 	}
-	ds.PathMetric = metric / float64(len(vals))
-	ds.OK = checkPayload(dec, scramblerSeed, f.Payloads[k])
-	return ds, nil
+	return nil
+}
+
+// finishHard completes stream ds.Stream's sample from its decoded bits
+// and trellis metric over n mother-code values.
+//
+//geolint:noalloc
+func finishHard(f *Frame, ds *obs.DecodeSample, dec []byte, metric float64, n int) {
+	ds.PathMetric = metric / float64(n)
+	ds.OK = checkPayload(dec, byte(0x5d+ds.Stream), f.Payloads[ds.Stream])
 }
 
 // hardValues is the fused hard-decision front end of stream k: one
 // pass over the frame's detected points that demaps, deinterleaves and
 // depunctures at once, writing each bit's ±1 straight into its
 // mother-code slot through the hardStage tables. The returned slice
-// aliases the Link's buffer and is valid until the next call.
+// aliases stream k's buffer and is valid until the next call for k.
 //
 //geolint:noalloc
 func (l *Link) hardValues(detIdx [][][]int, k int) []int8 {
+	for len(l.hard.vals) <= k {
+		l.hard.vals = append(l.hard.vals, make([]int8, len(l.hard.vals[0]))) //geolint:alloc-ok first frame with this many streams only
+	}
 	hs := &l.hard
 	q := l.nbps
-	vals, pos := hs.vals, hs.pos
+	vals, pos := hs.vals[k], hs.pos
 	i := 0
 	for _, row := range detIdx[:l.cfg.NumSymbols] {
 		for _, pts := range row {
@@ -765,7 +831,7 @@ func (l *Link) hardValues(detIdx [][][]int, k int) []int8 {
 			}
 		}
 	}
-	return vals[:len(vals)-1] // drop the discard slot
+	return hs.mother(k)
 }
 
 // checkPayload descrambles decoded info bits in place, verifies their

@@ -19,7 +19,8 @@ import (
 //	                         for group N and return their summary; an
 //	                         overloaded shard answers 503 with the
 //	                         rejection count, the admission-control
-//	                         contract made visible to clients
+//	                         contract made visible to clients; a
+//	                         group of 2^43 or more answers 400
 //
 // pipeline may be nil when the service runs without a StatsRecorder.
 func NewHandler(s *Server, pipeline *obs.StatsRecorder) http.Handler {
@@ -67,6 +68,9 @@ func NewHandler(s *Server, pipeline *obs.StatsRecorder) http.Handler {
 				sum.countTier(o.Tier)
 			case isOverload(err):
 				sum.Rejected++
+			case errors.Is(err, ErrBadGroup):
+				http.Error(w, "ingest: "+err.Error(), http.StatusBadRequest)
+				return
 			default:
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return

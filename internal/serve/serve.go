@@ -67,6 +67,9 @@ var (
 	// ErrBadLadder reports degradation thresholds outside
 	// 0 ≤ KBestLoad ≤ ZFLoad ≤ 1.
 	ErrBadLadder = errors.New("serve: ladder thresholds must satisfy 0 <= KBestLoad <= ZFLoad <= 1")
+	// ErrBadGroup reports a group id of 2^43 or more, which the frame
+	// key cannot hold without sharing another group's RNG substreams.
+	ErrBadGroup = fmt.Errorf("serve: group id must be below %d", uint64(groupLimit))
 )
 
 // Config configures a Server. The zero value of every optional field
@@ -237,11 +240,17 @@ func (c Config) runConfig() link.RunConfig {
 // 63-bit frame key; group ids get the bits above it.
 const seqBits = 20
 
+// groupLimit bounds the group ids a Server accepts to the 63−seqBits =
+// 43 bits above the sequence in the frame key. Process rejects larger
+// ids with ErrBadGroup instead of aliasing them onto a lower group's
+// substreams (or a negative key).
+const groupLimit = 1 << (63 - seqBits)
+
 // frameKey packs (group, seq) into the frame index that fixes the
 // frame's RNG substream. Unique per (group, seq) for groups below
-// 2^43; a group's sequence wraps after 2^20 frames, replaying its
-// substreams — acceptable for a simulated-traffic service and kept
-// explicit here.
+// groupLimit, which Process enforces; a group's sequence wraps after
+// 2^20 frames, replaying its substreams — acceptable for a
+// simulated-traffic service and kept explicit here.
 func frameKey(group uint64, seq int64) int64 {
 	return int64(group)<<seqBits | (seq & (1<<seqBits - 1))
 }
@@ -443,8 +452,12 @@ func (s *Server) pickTier(queued, depth int, kappa2dB float64) obs.Tier {
 // (never blocks), the shard picks the ladder tier at drain time from
 // the ring's occupancy, and the outcome is awaited under ctx. A frame
 // admitted before ctx is cancelled still completes on its shard;
-// Process just stops waiting.
+// Process just stops waiting. A group id of 2^43 or more is rejected
+// with ErrBadGroup before admission.
 func (s *Server) Process(ctx context.Context, group uint64) (Outcome, error) {
+	if group >= groupLimit {
+		return Outcome{}, ErrBadGroup
+	}
 	sh := s.shardFor(group)
 	reply, _ := s.replies.Get().(chan Outcome)
 	if reply == nil {

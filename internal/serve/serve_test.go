@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"testing"
@@ -443,5 +444,50 @@ func TestHandler(t *testing.T) {
 	// that skipped the Viterbi recursion.
 	if d := stats.Pipeline.Decode; d.Decodes == 0 || d.Bypassed == 0 || d.Bypassed > d.Decodes {
 		t.Fatalf("/stats decode section: %d decodes, %d bypassed", d.Decodes, d.Bypassed)
+	}
+}
+
+// TestGroupIDLimit: the largest group id the frame key holds is served
+// with a non-negative key of its own; one past it, and the top of the
+// uint64 range, are refused with ErrBadGroup through Process and with
+// 400 through /ingest, instead of aliasing a lower group's substreams.
+func TestGroupIDLimit(t *testing.T) {
+	s, err := New(quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const last = 1<<43 - 1
+	o, err := s.Process(context.Background(), last)
+	if err != nil {
+		t.Fatalf("group 2^43-1: %v", err)
+	}
+	if o.Frame < 0 || o.Frame != frameKey(last, 0) || o.Frame>>seqBits != last {
+		t.Fatalf("group 2^43-1 served with frame key %d", o.Frame)
+	}
+	for _, g := range []uint64{1 << 43, 1<<64 - 1} {
+		if _, err := s.Process(context.Background(), g); !errors.Is(err, ErrBadGroup) {
+			t.Fatalf("group %d: error %v, want ErrBadGroup", g, err)
+		}
+	}
+
+	ts := httptest.NewServer(NewHandler(s, nil))
+	defer ts.Close()
+	for _, c := range []struct {
+		group  string
+		status int
+	}{
+		{"8796093022207", http.StatusOK}, // 2^43 − 1
+		{"8796093022208", http.StatusBadRequest},
+		{"18446744073709551615", http.StatusBadRequest},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/ingest?group="+c.group, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("ingest group=%s: status %d, want %d", c.group, resp.StatusCode, c.status)
+		}
 	}
 }
