@@ -65,11 +65,13 @@ equiv:
 bench:
 	go run ./cmd/geobench -o BENCH_geosphere.json
 
-# One iteration of every detector micro-benchmark and of the hard
-# decode stage: a 4×4 frame (error-free bypass, lane-parallel
-# recursion, one-codeword ablation) and the fec kernels alone.
+# One iteration of every detector micro-benchmark, of the hard decode
+# stage (a 4×4 frame: error-free bypass, lane-parallel recursion,
+# one-codeword ablation; and the fec kernels alone), and of the frame
+# path's per-frame cost and allocations (link.Processor: one frame
+# alone and a 4-frame batch).
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkDetect|BenchmarkDecodeFrame|BenchmarkDecodeHard' -benchtime=1x ./...
+	go test -run '^$$' -bench 'BenchmarkDetect|BenchmarkDecodeFrame|BenchmarkDecodeHard|BenchmarkProcess' -benchmem -benchtime=1x ./...
 
 # Load-test the resident serving pipeline (cmd/geocell): tens of
 # thousands of concurrent simulated user groups through the sharded

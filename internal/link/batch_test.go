@@ -12,6 +12,7 @@ import (
 	"repro/internal/fec"
 	"repro/internal/obs"
 	"repro/internal/ofdm"
+	"repro/internal/phy"
 	"repro/internal/rng"
 )
 
@@ -75,11 +76,11 @@ func runFramesBatched(t *testing.T, cfg RunConfig, factory DetectorFactory, hs [
 }
 
 // TestProcessBatchEqualsProcess is the batching byte-identity
-// conformance suite of the micro-batching tentpole: for every detector
-// family × constellation × batch size, ProcessBatch's per-frame Res
-// and Err must be byte-identical to running Process once per frame —
-// batching may only change scheduling, attribution and latency, never
-// a decision.
+// conformance suite: for every detector family × constellation ×
+// batch size, ProcessBatch's per-frame Res and Err must be
+// byte-identical to processing each frame alone — batching may only
+// change scheduling, attribution and latency, never a decision. Batch
+// size 1 runs through the same sweep as every other size.
 func TestProcessBatchEqualsProcess(t *testing.T) {
 	conss := []*constellation.Constellation{constellation.QPSK, constellation.QAM16}
 	batchSizes := []int{1, 2, 3, 7, 16}
@@ -120,10 +121,11 @@ func TestProcessBatchEqualsProcess(t *testing.T) {
 	}
 }
 
-// TestProcessBatchFallbackModes pins that the per-frame-perturbation
-// modes (SNR jitter, estimated CSI) take the frame-by-frame fallback
-// and still match Process exactly.
-func TestProcessBatchFallbackModes(t *testing.T) {
+// TestProcessBatchPerturbedModes pins that the per-frame-perturbation
+// modes (SNR jitter, estimated CSI), which run every frame as its own
+// batch of one on its own channels, still match processing each frame
+// alone exactly.
+func TestProcessBatchPerturbedModes(t *testing.T) {
 	for _, mode := range []struct {
 		name   string
 		jitter float64
@@ -189,9 +191,8 @@ func TestProcessBatchStatsAndSamples(t *testing.T) {
 	if snap.Frames.Frames != 4 {
 		t.Errorf("recorder saw %d frames, want 4", snap.Frames.Frames)
 	}
-	// One preparation per subcarrier for the whole batch: every probe
-	// after the 48 misses is a hit, and hits+misses is far below the
-	// per-frame path's 4 frames × 2 symbols × 48 probes.
+	// One preparation per subcarrier for the whole batch, not one per
+	// frame or per symbol: the cold pool misses exactly 48 times.
 	probes := snap.Frames.PrepareHits + snap.Frames.PrepareMisses
 	if snap.Frames.PrepareMisses != int64(ofdm.NumData) {
 		t.Errorf("prepare misses = %d, want %d (one per subcarrier)", snap.Frames.PrepareMisses, ofdm.NumData)
@@ -199,4 +200,191 @@ func TestProcessBatchStatsAndSamples(t *testing.T) {
 	if probes != int64(ofdm.NumData) {
 		t.Errorf("prepare probes = %d, want %d (one per subcarrier per batch)", probes, ofdm.NumData)
 	}
+
+	// A frame processed alone is a batch of one: its 2 symbols share one
+	// probe per subcarrier (48, all hits on the warm pool).
+	var frames frameCapture
+	cfg.Recorder = &frames
+	proc, err = NewProcessor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := proc.Process(Work{Frame: 4, Channels: hs, Det: det, Pool: pool}); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	if len(frames) != 1 {
+		t.Fatalf("recorder saw %d frames, want 1", len(frames))
+	}
+	if fs := frames[0]; fs.PrepHits+fs.PrepMisses != ofdm.NumData || fs.Batch != 1 {
+		t.Errorf("single frame: %d hits + %d misses, batch %d; want %d probes in a batch of 1",
+			fs.PrepHits, fs.PrepMisses, fs.Batch, ofdm.NumData)
+	}
+}
+
+// frameCapture keeps every FrameSample it is sent.
+type frameCapture []obs.FrameSample
+
+func (c *frameCapture) RecordFrame(s obs.FrameSample) { *c = append(*c, s) }
+func (*frameCapture) RecordDetect(obs.DetectSample)   {}
+func (*frameCapture) RecordDecode(obs.DecodeSample)   {}
+func (*frameCapture) RecordPoint(obs.PointSample)     {}
+
+// TestBadChannelsRejected pins that a missing or wrongly shaped
+// subcarrier channel — in the channel the signal propagates through or
+// in the one the detector is prepared on — is an error at every frame
+// entry point, never a panic.
+func TestBadChannelsRejected(t *testing.T) {
+	const na, nc, bad = 4, 2, 17
+	faults := []struct {
+		name string
+		h    *cmplxmat.Matrix
+	}{{"nil", nil}, {"shape", cmplxmat.New(na, nc+1)}}
+	broken := func(h *cmplxmat.Matrix) []*cmplxmat.Matrix {
+		hs := batchChannels(5, na, nc)
+		hs[bad] = h
+		return hs
+	}
+	noPanic := func(t *testing.T, run func() error) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("panicked: %v", r)
+			}
+		}()
+		if err := run(); err == nil {
+			t.Fatal("bad channel accepted")
+		}
+	}
+	pcfg := phy.Config{Cons: constellation.QPSK, Rate: fec.Rate12, NumSymbols: 2}
+	encode := func(t *testing.T) (*phy.Link, *phy.Frame) {
+		l, err := phy.NewLink(pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := l.Encode(rng.New(1), nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l, f
+	}
+	for _, fault := range faults {
+		t.Run("TransmitReceive/"+fault.name, func(t *testing.T) {
+			l, f := encode(t)
+			noPanic(t, func() error {
+				_, err := l.TransmitReceive(rng.New(2), f, broken(fault.h), core.NewGeosphere(pcfg.Cons), 0.1)
+				return err
+			})
+		})
+		for _, set := range []string{"true", "det"} {
+			t.Run("TransmitReceiveBatchCSI/"+set+"/"+fault.name, func(t *testing.T) {
+				l, f := encode(t)
+				hsTrue, hsDet := batchChannels(5, na, nc), batchChannels(6, na, nc)
+				if set == "true" {
+					hsTrue[bad] = fault.h
+				} else {
+					hsDet[bad] = fault.h
+				}
+				noPanic(t, func() error {
+					_, err := l.TransmitReceiveBatchCSI([]*rng.Source{rng.New(2)}, []*phy.Frame{f}, hsTrue, hsDet, core.NewGeosphere(pcfg.Cons), 0.1)
+					return err
+				})
+			})
+		}
+		for _, mode := range conformanceModes {
+			for _, pooled := range []bool{false, true} {
+				t.Run(fmt.Sprintf("Process/%s/pool=%v/%s", mode.name, pooled, fault.name), func(t *testing.T) {
+					cfg := RunConfig{
+						Cons: pcfg.Cons, Rate: pcfg.Rate, NumSymbols: pcfg.NumSymbols,
+						SNRdB: 20, Seed: 3, SNRJitterDB: mode.jitter, EstimatedCSI: mode.estCSI,
+					}
+					proc, err := NewProcessor(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var pool *core.PrepPool
+					if pooled {
+						pool = core.NewPrepPool(ofdm.NumData)
+					}
+					noPanic(t, func() error {
+						return proc.Process(Work{Frame: 1, Channels: broken(fault.h), Det: core.NewGeosphere(cfg.Cons), Pool: pool}).Err
+					})
+				})
+			}
+		}
+	}
+}
+
+// processFixture is the allocation and benchmark fixture: a 4×4 64-QAM,
+// 4-symbol Processor with a persistent Geosphere detector and a
+// preparation pool on a static frequency-selective channel, warmed by
+// one pass of its 4-frame batch.
+func processFixture(tb testing.TB) (*Processor, BatchWork) {
+	tb.Helper()
+	cfg := RunConfig{Cons: constellation.QAM64, Rate: fec.Rate12, NumSymbols: 4, SNRdB: 30, Seed: 5}
+	proc, err := NewProcessor(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := BatchWork{
+		Frames:   []int64{0, 1, 2, 3},
+		Channels: batchChannels(3, 4, 4),
+		Det:      core.NewGeosphere(cfg.Cons),
+		Pool:     core.NewPrepPool(ofdm.NumData),
+	}
+	for _, o := range proc.ProcessBatch(nil, w) {
+		if o.Err != nil {
+			tb.Fatal(o.Err)
+		}
+	}
+	return proc, w
+}
+
+// TestProcessAllocCeiling pins the warm allocation counts of the frame
+// path: a single frame through Process, and a 4-frame ProcessBatch.
+// What remains is per-frame state a caller keeps (the encoded Frame,
+// the Result) plus the frame's substream; the batch's own bookkeeping
+// reuses Processor and Link scratch.
+func TestProcessAllocCeiling(t *testing.T) {
+	const singleMax, batchMax = 11, 44
+	proc, w := processFixture(t)
+	single := testing.AllocsPerRun(20, func() {
+		proc.Process(Work{Frame: 9, Channels: w.Channels, Det: w.Det, Pool: w.Pool})
+	})
+	var outs []FrameOutcome
+	batch := testing.AllocsPerRun(20, func() {
+		outs = proc.ProcessBatch(outs, w)
+	})
+	if single > singleMax {
+		t.Errorf("Process: %g allocs per frame, want <= %d", single, singleMax)
+	}
+	if batch > batchMax {
+		t.Errorf("ProcessBatch of 4: %g allocs per batch, want <= %d", batch, batchMax)
+	}
+}
+
+// BenchmarkProcess measures the frame path's per-frame cost on the
+// processFixture workload: single is one frame per Process call, batch4
+// one 4-frame ProcessBatch sweep, reported per frame.
+func BenchmarkProcess(b *testing.B) {
+	b.Run("single", func(b *testing.B) {
+		proc, w := processFixture(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if out := proc.Process(Work{Frame: int64(i), Channels: w.Channels, Det: w.Det, Pool: w.Pool}); out.Err != nil {
+				b.Fatal(out.Err)
+			}
+		}
+	})
+	b.Run("batch4", func(b *testing.B) {
+		proc, w := processFixture(b)
+		var outs []FrameOutcome
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			outs = proc.ProcessBatch(outs, w)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(4*b.N), "ns/frame")
+	})
 }

@@ -65,6 +65,12 @@ type Processor struct {
 	// kappa is borrowed scratch for the per-frame κ̂² observability
 	// sample (reused across frames, only valid during RecordFrame).
 	kappa []float64
+	// frame, srcs and frames are reused batch scratch: Process's
+	// one-frame index list, and a sweep's per-frame substreams and
+	// encoded frames.
+	frame  [1]int64
+	srcs   []*rng.Source
+	frames []*phy.Frame
 }
 
 // schedCounters is the adaptive scheduler's counter surface
@@ -92,102 +98,20 @@ func NewProcessor(cfg RunConfig) (*Processor, error) {
 func (p *Processor) NoiseVar() float64 { return p.noiseVar }
 
 // Process pushes one frame through jitter → encode → (estimate) →
-// transmit/detect/decode. All randomness comes from the frame's own
-// substream, and the detector — whether fresh or persistent with its
-// preparation cache — produces bit-identical decisions for a given
-// (cfg, Frame, Channels), so the outcome never depends on which worker
-// ran it or when. The worker id and tier only label the frame's
-// observability sample, as do the preparation-cache counters.
+// transmit/detect/decode: ProcessBatch over a batch of one. All
+// randomness comes from the frame's own substream, and the detector —
+// whether fresh or persistent with its preparation cache — produces
+// bit-identical decisions for a given (cfg, Frame, Channels), so the
+// outcome never depends on which worker ran it or when. The worker id
+// and tier only label the frame's observability sample, as do the
+// preparation-cache counters.
 func (p *Processor) Process(w Work) FrameOutcome {
-	cfg := p.cfg
-	start := time.Now() //geolint:nondeterminism-ok wall-clock duration only labels the observability sample
-	if len(w.Channels) == 0 || w.Channels[0] == nil {
-		return FrameOutcome{Err: fmt.Errorf("%w: frame %d has no channels", ErrBadShape, w.Frame)}
-	}
-	nc := w.Channels[0].Cols
-	fsrc := rng.Substream(cfg.Seed, w.Frame)
-	det := w.Det
-	p.l.SetPrepPool(w.Pool)
-	// Persistent detectors carry counters over from earlier frames, so
-	// this frame's share is the snapshot delta (zero-based for fresh
-	// detectors, where the snapshot is zero).
-	before, _ := core.StatsOf(det)
-	var hitsBefore, missesBefore, updatesBefore uint64
-	if w.Pool != nil {
-		hitsBefore, missesBefore = w.Pool.Counters()
-		updatesBefore = w.Pool.QRUpdates()
-	}
-	var schedBefore policy.Counters
-	sched, adaptive := det.(schedCounters)
-	if adaptive {
-		schedBefore = sched.Sched()
-	}
-	hs := w.Channels
-	if cfg.SNRJitterDB > 0 {
-		hs = jitterClients(fsrc, hs, cfg.SNRJitterDB)
-	}
-	f, err := p.l.Encode(fsrc, nc)
-	if err != nil {
-		return FrameOutcome{Err: err}
-	}
-	hsDet := hs
-	if cfg.EstimatedCSI {
-		hsDet, err = phy.EstimateChannels(fsrc, hs, p.noiseVar, cfg.trainingReps())
-		if err != nil {
-			return FrameOutcome{Err: err}
-		}
-	}
-	res, err := p.l.TransmitReceiveCSI(fsrc, f, hs, hsDet, det, p.noiseVar)
-	if err != nil {
-		return FrameOutcome{Err: err}
-	}
-	out := FrameOutcome{Res: res}
-	after, _ := core.StatsOf(det)
-	out.Stats = after.Sub(before)
-	if cfg.Recorder != nil {
-		errs := 0
-		for _, ok := range res.StreamOK {
-			if !ok {
-				errs++
-			}
-		}
-		var prepHits, prepMisses, qrUpdates uint64
-		if w.Pool != nil {
-			h, m := w.Pool.Counters()
-			prepHits, prepMisses = h-hitsBefore, m-missesBefore
-			qrUpdates = w.Pool.QRUpdates() - updatesBefore
-		}
-		fs := obs.FrameSample{
-			Frame:  int(w.Frame),
-			Worker: w.Worker,
-			Tier:   w.Tier,
-			//geolint:nondeterminism-ok wall-clock duration only labels the observability sample
-			Duration:     time.Since(start),
-			OK:           res.FrameOK(),
-			Streams:      len(res.StreamOK),
-			StreamErrors: errs,
-			PrepHits:     prepHits,
-			PrepMisses:   prepMisses,
-			ProjReuse:    out.Stats.ProjReuse,
-			QRUpdates:    qrUpdates,
-		}
-		if adaptive {
-			d := sched.Sched().Sub(schedBefore)
-			fs.SchedZF = d.SchedZF
-			fs.SchedKBest = d.SchedKBest
-			fs.SchedSphere = d.SchedSphere
-			fs.GatePass = d.GatePass
-			fs.KBestFallbacks = d.KBestFallbacks
-			fs.SphereFallbacks = d.SphereFallbacks
-			fs.SeededRadius = d.SeededRadius
-			if w.Pool != nil {
-				p.kappa = w.Pool.AppendKappa2dB(p.kappa[:0])
-				fs.Kappa2dB = p.kappa
-			}
-		}
-		cfg.Recorder.RecordFrame(fs)
-	}
-	return out
+	var out [1]FrameOutcome
+	p.frame[0] = w.Frame
+	return p.ProcessBatch(out[:0], BatchWork{
+		Frames: p.frame[:], Worker: w.Worker, Tier: w.Tier,
+		Channels: w.Channels, Det: w.Det, Pool: w.Pool,
+	})[0]
 }
 
 // BatchWork describes a batch of frames for Processor.ProcessBatch:
@@ -208,38 +132,60 @@ type BatchWork struct {
 
 // ProcessBatch runs a batch of frames sharing one prepared channel
 // set, appending one FrameOutcome per frame (in Frames order) to dst
-// and returning it. Per-frame Res and Err are byte-identical to
-// calling Process once per frame — every frame encodes and transmits
-// from its own substream, and detection decisions are pure functions
-// of (prepared state, observation) — only the attribution of batch-
+// and returning it. Per-frame Res and Err are byte-identical however
+// the frames are batched — every frame encodes and transmits from its
+// own substream, and detection decisions are pure functions of
+// (prepared state, observation) — only the attribution of batch-
 // amortized observability (detector Stats deltas, preparation-cache
 // counters, scheduler counters) changes: those are measured across the
-// whole batch and folded into the first outcome/sample, so sums over a
-// run stay exact while per-frame shares are no longer split out.
+// whole detection sweep and folded into its first outcome/sample, so
+// sums over a run stay exact.
 //
 // Configurations that perturb channels per frame (SNR jitter,
-// estimated CSI) break the shared-preparation premise and fall back to
-// the frame-by-frame path, as does a batch of one.
+// estimated CSI) give every frame its own channels, so each frame runs
+// as its own batch of one. A multi-frame batch that fails re-runs the
+// same way, so every frame reports its own error.
 func (p *Processor) ProcessBatch(dst []FrameOutcome, w BatchWork) []FrameOutcome {
-	cfg := p.cfg
 	dst = dst[:0]
-	if len(w.Frames) == 0 {
-		return dst
-	}
-	if len(w.Frames) == 1 || cfg.EstimatedCSI || cfg.SNRJitterDB > 0 {
-		return p.processSingly(dst, w)
-	}
-	start := time.Now() //geolint:nondeterminism-ok wall-clock duration only labels the observability samples
-	if len(w.Channels) == 0 || w.Channels[0] == nil {
-		err := fmt.Errorf("%w: batch has no channels", ErrBadShape)
+	_, nc, err := phy.ChannelShape(w.Channels, w.Channels)
+	if err != nil {
+		err = fmt.Errorf("%w: %v", ErrBadShape, err)
 		for range w.Frames {
 			dst = append(dst, FrameOutcome{Err: err})
 		}
 		return dst
 	}
-	nc := w.Channels[0].Cols
+	if len(w.Frames) > 1 && p.cfg.SNRJitterDB <= 0 && !p.cfg.EstimatedCSI {
+		if out, err := p.sweep(dst, w, nc); err == nil {
+			return out
+		}
+	}
+	frames := w.Frames
+	for i := range frames {
+		w.Frames = frames[i : i+1]
+		out, err := p.sweep(dst, w, nc)
+		if err != nil {
+			out = append(dst, FrameOutcome{Err: err})
+		}
+		dst = out
+	}
+	return dst
+}
+
+// sweep runs w.Frames through one detection sweep and appends their
+// outcomes to dst; on error it appends nothing. The per-frame channel
+// perturbations draw from the frame's substream in a fixed order —
+// jitter, Encode, EstimateChannels, transmit — and ProcessBatch only
+// sends frames that take them alone, so the perturbed channels belong
+// to the one frame in the batch.
+func (p *Processor) sweep(dst []FrameOutcome, w BatchWork, nc int) ([]FrameOutcome, error) {
+	cfg := p.cfg
+	start := time.Now() //geolint:nondeterminism-ok wall-clock duration only labels the observability samples
 	det := w.Det
 	p.l.SetPrepPool(w.Pool)
+	// Persistent detectors carry counters over from earlier batches, so
+	// this batch's share is the snapshot delta (zero-based for fresh
+	// detectors, where the snapshot is zero).
 	before, _ := core.StatsOf(det)
 	var hitsBefore, missesBefore, updatesBefore uint64
 	if w.Pool != nil {
@@ -251,26 +197,37 @@ func (p *Processor) ProcessBatch(dst []FrameOutcome, w BatchWork) []FrameOutcome
 	if adaptive {
 		schedBefore = sched.Sched()
 	}
-	srcs := make([]*rng.Source, len(w.Frames))
-	frames := make([]*phy.Frame, len(w.Frames))
-	for i, fi := range w.Frames {
-		srcs[i] = rng.Substream(cfg.Seed, fi)
-		f, err := p.l.Encode(srcs[i], nc)
-		if err != nil {
-			// Encode failures are configuration-level; re-run the batch
-			// frame-by-frame so every frame reports its own error.
-			return p.processSingly(dst, w)
+	hsTrue, hsDet := w.Channels, w.Channels
+	srcs, frames := p.srcs[:0], p.frames[:0]
+	for _, fi := range w.Frames {
+		src := rng.Substream(cfg.Seed, fi)
+		if cfg.SNRJitterDB > 0 {
+			hsTrue = jitterClients(src, w.Channels, cfg.SNRJitterDB)
 		}
-		frames[i] = f
+		f, err := p.l.Encode(src, nc)
+		if err != nil {
+			return dst, err
+		}
+		hsDet = hsTrue
+		if cfg.EstimatedCSI {
+			if hsDet, err = phy.EstimateChannels(src, hsTrue, p.noiseVar, cfg.trainingReps()); err != nil {
+				return dst, err
+			}
+		}
+		srcs, frames = append(srcs, src), append(frames, f)
 	}
-	res, err := p.l.TransmitReceiveBatchCSI(srcs, frames, w.Channels, w.Channels, det, p.noiseVar)
+	res, err := p.l.TransmitReceiveBatchCSI(srcs, frames, hsTrue, hsDet, det, p.noiseVar)
+	// Keep the grown scratch, but not the batch's frames.
+	clear(srcs)
+	clear(frames)
+	p.srcs, p.frames = srcs[:0], frames[:0]
 	if err != nil {
-		return p.processSingly(dst, w)
+		return dst, err
 	}
 	after, _ := core.StatsOf(det)
 	batchStats := after.Sub(before)
-	for i := range w.Frames {
-		o := FrameOutcome{Res: res[i]}
+	for i, r := range res {
+		o := FrameOutcome{Res: r}
 		if i == 0 {
 			// The detector's complexity delta spans the whole batch;
 			// attribute it to the first outcome so run-level sums over
@@ -279,71 +236,56 @@ func (p *Processor) ProcessBatch(dst []FrameOutcome, w BatchWork) []FrameOutcome
 		}
 		dst = append(dst, o)
 	}
-	if cfg.Recorder != nil {
-		//geolint:nondeterminism-ok wall-clock duration only labels the observability samples
-		dur := time.Since(start) / time.Duration(len(w.Frames))
-		var prepHits, prepMisses, qrUpdates uint64
-		if w.Pool != nil {
-			h, m := w.Pool.Counters()
-			prepHits, prepMisses = h-hitsBefore, m-missesBefore
-			qrUpdates = w.Pool.QRUpdates() - updatesBefore
+	if cfg.Recorder == nil {
+		return dst, nil
+	}
+	//geolint:nondeterminism-ok wall-clock duration only labels the observability samples
+	dur := time.Since(start) / time.Duration(len(res))
+	for i, r := range res {
+		errs := 0
+		for _, ok := range r.StreamOK {
+			if !ok {
+				errs++
+			}
 		}
-		var schedDelta policy.Counters
-		if adaptive {
-			schedDelta = sched.Sched().Sub(schedBefore)
+		fs := obs.FrameSample{
+			Frame:        int(w.Frames[i]),
+			Worker:       w.Worker,
+			Tier:         w.Tier,
+			Duration:     dur,
+			Batch:        len(res),
+			OK:           r.FrameOK(),
+			Streams:      len(r.StreamOK),
+			StreamErrors: errs,
 		}
-		for i, fi := range w.Frames {
-			r := res[i]
-			errs := 0
-			for _, ok := range r.StreamOK {
-				if !ok {
-					errs++
+		if i == 0 {
+			// Batch-amortized counters are measured once per sweep;
+			// fold them into the first sample so run-level sums stay
+			// exact.
+			if w.Pool != nil {
+				h, m := w.Pool.Counters()
+				fs.PrepHits, fs.PrepMisses = h-hitsBefore, m-missesBefore
+				fs.QRUpdates = w.Pool.QRUpdates() - updatesBefore
+			}
+			fs.ProjReuse = batchStats.ProjReuse
+			if adaptive {
+				d := sched.Sched().Sub(schedBefore)
+				fs.SchedZF = d.SchedZF
+				fs.SchedKBest = d.SchedKBest
+				fs.SchedSphere = d.SchedSphere
+				fs.GatePass = d.GatePass
+				fs.KBestFallbacks = d.KBestFallbacks
+				fs.SphereFallbacks = d.SphereFallbacks
+				fs.SeededRadius = d.SeededRadius
+				if w.Pool != nil {
+					p.kappa = w.Pool.AppendKappa2dB(p.kappa[:0])
+					fs.Kappa2dB = p.kappa
 				}
 			}
-			fs := obs.FrameSample{
-				Frame:        int(fi),
-				Worker:       w.Worker,
-				Tier:         w.Tier,
-				Duration:     dur,
-				Batch:        len(w.Frames),
-				OK:           r.FrameOK(),
-				Streams:      len(r.StreamOK),
-				StreamErrors: errs,
-			}
-			if i == 0 {
-				// Batch-amortized counters are measured once per batch;
-				// fold them into the first sample so run-level sums stay
-				// exact.
-				fs.PrepHits, fs.PrepMisses = prepHits, prepMisses
-				fs.ProjReuse = batchStats.ProjReuse
-				fs.QRUpdates = qrUpdates
-				if adaptive {
-					fs.SchedZF = schedDelta.SchedZF
-					fs.SchedKBest = schedDelta.SchedKBest
-					fs.SchedSphere = schedDelta.SchedSphere
-					fs.GatePass = schedDelta.GatePass
-					fs.KBestFallbacks = schedDelta.KBestFallbacks
-					fs.SphereFallbacks = schedDelta.SphereFallbacks
-					fs.SeededRadius = schedDelta.SeededRadius
-					if w.Pool != nil {
-						p.kappa = w.Pool.AppendKappa2dB(p.kappa[:0])
-						fs.Kappa2dB = p.kappa
-					}
-				}
-			}
-			cfg.Recorder.RecordFrame(fs)
 		}
+		cfg.Recorder.RecordFrame(fs)
 	}
-	return dst
-}
-
-// processSingly is ProcessBatch's frame-by-frame path: the batch run
-// through Process one frame at a time, in order.
-func (p *Processor) processSingly(dst []FrameOutcome, w BatchWork) []FrameOutcome {
-	for _, fi := range w.Frames {
-		dst = append(dst, p.Process(Work{Frame: fi, Worker: w.Worker, Tier: w.Tier, Channels: w.Channels, Det: w.Det, Pool: w.Pool}))
-	}
-	return dst
+	return dst, nil
 }
 
 // frameWorker is one session worker's long-lived state: a Processor

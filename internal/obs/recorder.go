@@ -121,8 +121,8 @@ type FrameSample struct {
 	// served in a batch it is the batch duration divided by the batch
 	// size — per-frame shares of a fused sweep are not separable.
 	Duration time.Duration
-	// Batch is the size of the micro-batch the frame was served in;
-	// 0 or 1 both mean the frame ran through the single-frame path.
+	// Batch is the number of frames that shared the frame's detection
+	// sweep: 1 for a frame processed alone.
 	Batch int
 	// OK reports whether every stream's CRC verified.
 	OK bool
@@ -130,9 +130,12 @@ type FrameSample struct {
 	// how many of them failed.
 	Streams      int
 	StreamErrors int
-	// PrepHits and PrepMisses count this frame's channel-preparation
-	// cache outcomes (per-subcarrier PreparedChannel reuse vs refill).
-	// Both are zero when the pipeline runs without a prep pool.
+	// PrepHits and PrepMisses count the channel-preparation cache
+	// outcomes (per-subcarrier PreparedChannel reuse vs refill) of the
+	// frame's detection sweep: one probe per subcarrier per sweep,
+	// however many frames and symbols it covers, folded into the
+	// sweep's first frame. Both are zero when the pipeline runs without
+	// a prep pool.
 	PrepHits   uint64
 	PrepMisses uint64
 	// ProjReuse counts interference-projection terms the frame's tree
@@ -144,8 +147,9 @@ type FrameSample struct {
 	// the pipeline enables incremental preparation.
 	QRUpdates uint64
 	// SchedZF, SchedKBest and SchedSphere count the condition-adaptive
-	// scheduler's tier assignments this frame (one per detector
-	// preparation call); GatePass, KBestFallbacks and SphereFallbacks
+	// scheduler's tier assignments (one per detector preparation call,
+	// so one per subcarrier per sweep, folded into the sweep's first
+	// frame like PrepHits); GatePass, KBestFallbacks and SphereFallbacks
 	// split the frame's Detect calls by how each vector was resolved,
 	// and SeededRadius counts the sphere escalations that started from
 	// the ZF-residual radius. All zero when adaptive detection is off.

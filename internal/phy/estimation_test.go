@@ -93,15 +93,15 @@ func TestEstimatedCSIFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := core.NewGeosphere(cfg.Cons)
-	res, err := link.TransmitReceiveCSI(src, f, hs, est, det, nv)
+	res, err := link.TransmitReceiveBatchCSI([]*rng.Source{src}, []*Frame{f}, hs, est, det, nv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.FrameOK() {
-		t.Fatalf("estimated-CSI frame at 25 dB failed: %+v", res)
+	if !res[0].FrameOK() {
+		t.Fatalf("estimated-CSI frame at 25 dB failed: %+v", res[0])
 	}
 	// Mismatched shapes must be rejected.
-	if _, err := link.TransmitReceiveCSI(src, f, hs, perSCChannels(src, 4, 3), det, nv); err == nil {
+	if _, err := link.TransmitReceiveBatchCSI([]*rng.Source{src}, []*Frame{f}, hs, perSCChannels(src, 4, 3), det, nv); err == nil {
 		t.Fatal("CSI shape mismatch accepted")
 	}
 }

@@ -137,17 +137,18 @@ type encodeScratch struct {
 	bitbuf []byte
 }
 
-// receiveScratch holds the per-frame detector output buffers
-// TransmitReceiveCSI reuses across frames of identical geometry. yb is
-// the structure-of-arrays received-signal buffer: one flat slice
-// holding every (symbol, subcarrier) observation contiguously in
-// symbol-major order, yb[(t·NumData+s)·na : +na], so the batched
-// detection pass walks one OFDM symbol's 48 subcarriers as a single
-// sequential sweep.
+// receiveScratch holds the detector output buffers and the result
+// list TransmitReceiveBatchCSI reuses across batches of identical
+// geometry. yb is the structure-of-arrays received-signal buffer: one
+// flat slice holding every observation of the batch contiguously in
+// subcarrier-major order, yb[(s·rows+r)·na : +na] for SoA row r =
+// f·NumSymbols+t, so both the transmit pass and the detection sweep
+// walk one subcarrier's observations sequentially.
 type receiveScratch struct {
-	detIdx [][][]int
-	detLLR [][][]float64
-	yb     []complex128
+	detIdx  [][][]int
+	detLLR  [][][]float64
+	yb      []complex128
+	results []*Result
 }
 
 // decodeScratch holds the per-stream soft decode buffers and the
@@ -263,9 +264,9 @@ func (l *Link) buildHardStage() error {
 func (l *Link) Config() Config { return l.cfg }
 
 // SetPrepPool attaches a per-subcarrier preparation cache: subsequent
-// TransmitReceiveCSI calls prepare the detector through pool (slot =
-// data-subcarrier index), so an unchanged channel skips its QR. A nil
-// pool restores the direct det.Prepare path.
+// batches prepare the detector through pool (slot = data-subcarrier
+// index), so an unchanged channel skips its QR. A nil pool restores
+// the direct det.Prepare path.
 func (l *Link) SetPrepPool(pool *core.PrepPool) { l.prep = pool }
 
 // Encode builds one frame for nc independent streams with random
@@ -372,140 +373,79 @@ func (r Result) FrameOK() bool {
 // TransmitReceive sends the frame over the per-subcarrier channels hs
 // (one na×nc matrix per data subcarrier, constant for the frame's
 // duration), with AWGN of variance noiseVar, detecting with det
-// against perfect channel knowledge.
-//
-// The detector is Prepared once per subcarrier and reused across the
-// frame's OFDM symbols, matching how a real receiver amortizes QR
-// decompositions over a channel coherence time.
+// against perfect channel knowledge. It is TransmitReceiveBatchCSI
+// over a batch of one: the detector is prepared once per subcarrier
+// and reused across the frame's OFDM symbols, as a real receiver
+// amortizes QR decompositions over a channel coherence time.
 func (l *Link) TransmitReceive(src *rng.Source, f *Frame, hs []*cmplxmat.Matrix, det core.Detector, noiseVar float64) (*Result, error) {
-	return l.TransmitReceiveCSI(src, f, hs, hs, det, noiseVar)
-}
-
-// TransmitReceiveCSI is TransmitReceive with separate channel
-// knowledge: the signal propagates through hsTrue while the detector
-// is prepared on hsDet (e.g. a noisy preamble-based estimate from
-// EstimateChannels).
-func (l *Link) TransmitReceiveCSI(src *rng.Source, f *Frame, hsTrue, hsDet []*cmplxmat.Matrix, det core.Detector, noiseVar float64) (*Result, error) {
-	cfg := l.cfg
-	hs := hsTrue
-	if len(hs) != ofdm.NumData || len(hsDet) != ofdm.NumData {
-		return nil, fmt.Errorf("phy: %d/%d subcarrier channels, want %d", len(hs), len(hsDet), ofdm.NumData)
-	}
-	nc := len(f.Payloads)
-	na := hs[0].Rows
-	if hs[0].Cols != nc {
-		return nil, fmt.Errorf("phy: channel has %d streams, frame has %d", hs[0].Cols, nc)
-	}
-	var soft core.SoftDetector
-	if cfg.SoftDecoding {
-		sd, ok := det.(core.SoftDetector)
-		if !ok {
-			return nil, fmt.Errorf("phy: soft decoding requires a SoftDetector, %s is not one", det.Name())
-		}
-		if noiseVar <= 0 {
-			return nil, fmt.Errorf("phy: soft decoding needs a positive noise variance")
-		}
-		soft = sd
-	}
-	// detIdx[t][s] holds the detected point indices; detLLR the
-	// per-bit soft values when soft decoding is on. Both live in
-	// link-owned scratch reused across frames of the same geometry.
-	detIdx, detLLR, yb := l.sizeReceive(cfg.NumSymbols, nc, na, soft != nil)
-	res := &Result{StreamOK: make([]bool, nc)}
-	for s := 0; s < ofdm.NumData; s++ {
-		if hsDet[s].Rows != na || hsDet[s].Cols != nc {
-			return nil, fmt.Errorf("phy: CSI shape mismatch at subcarrier %d", s)
-		}
-	}
-	// Transmit every (subcarrier, symbol) observation into the flat SoA
-	// buffer. The loop nest is subcarrier-major so the noise draw
-	// schedule — and with it every golden measurement — is independent
-	// of how the detection pass below is ordered.
-	for s := 0; s < ofdm.NumData; s++ {
-		for t := 0; t < cfg.NumSymbols; t++ {
-			at := (t*ofdm.NumData + s) * na
-			channel.Transmit(yb[at:at+na], src, hs[s], f.X[t][s], noiseVar)
-		}
-	}
-	if l.prep != nil {
-		// Batched detection: walk all data subcarriers of one OFDM
-		// symbol as a single sequential sweep over the SoA buffer — the
-		// order the observations arrive in a real receiver. Switching
-		// subcarrier per detection re-prepares through the cache, where
-		// it is a pure hit after each subcarrier's first symbol.
-		for t := 0; t < cfg.NumSymbols; t++ {
-			row := yb[t*ofdm.NumData*na:]
-			for s := 0; s < ofdm.NumData; s++ {
-				if err := l.prepareDetector(det, s, hsDet[s]); err != nil {
-					return nil, fmt.Errorf("phy: prepare subcarrier %d: %w", s, err)
-				}
-				if err := l.detectOne(det, soft, f, res, detIdx, detLLR, row[s*na:(s+1)*na], t, s, nc, noiseVar); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		// Without a preparation cache a subcarrier switch costs a full
-		// factorization, so keep the subcarrier-major order that
-		// prepares each channel exactly once.
-		for s := 0; s < ofdm.NumData; s++ {
-			if err := l.prepareDetector(det, s, hsDet[s]); err != nil {
-				return nil, fmt.Errorf("phy: prepare subcarrier %d: %w", s, err)
-			}
-			for t := 0; t < cfg.NumSymbols; t++ {
-				at := (t*ofdm.NumData + s) * na
-				if err := l.detectOne(det, soft, f, res, detIdx, detLLR, yb[at:at+na], t, s, nc, noiseVar); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if err := l.decodeFrame(f, detIdx, detLLR, soft != nil, res); err != nil {
+	res, err := l.TransmitReceiveBatchCSI([]*rng.Source{src}, []*Frame{f}, hs, hs, det, noiseVar)
+	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return res[0], nil
+}
+
+// ChannelShape validates one frame's channel knowledge: hsTrue (what
+// the signal propagates through) and hsDet (what the detector is
+// prepared on) must each hold one non-nil matrix per data subcarrier,
+// every one shaped like hsTrue[0]. It returns that na×nc shape.
+func ChannelShape(hsTrue, hsDet []*cmplxmat.Matrix) (na, nc int, err error) {
+	if len(hsTrue) != ofdm.NumData || len(hsDet) != ofdm.NumData {
+		return 0, 0, fmt.Errorf("phy: %d/%d subcarrier channels, want %d", len(hsTrue), len(hsDet), ofdm.NumData)
+	}
+	if hsTrue[0] == nil {
+		return 0, 0, fmt.Errorf("phy: no channel at subcarrier 0")
+	}
+	na, nc = hsTrue[0].Rows, hsTrue[0].Cols
+	for s := range hsTrue {
+		for _, h := range [2]*cmplxmat.Matrix{hsTrue[s], hsDet[s]} {
+			if h == nil {
+				return 0, 0, fmt.Errorf("phy: no channel at subcarrier %d", s)
+			}
+			if h.Rows != na || h.Cols != nc {
+				return 0, 0, fmt.Errorf("phy: channel at subcarrier %d is %d×%d, want %d×%d", s, h.Rows, h.Cols, na, nc)
+			}
+		}
+	}
+	return na, nc, nil
 }
 
 // TransmitReceiveBatchCSI runs a batch of frames that share one
-// per-subcarrier channel set through transmit → detect → decode,
-// producing per-frame Results byte-identical to calling
-// TransmitReceiveCSI once per frame. Two things change, neither of
-// which can alter a decision:
+// per-subcarrier channel set through transmit → detect → decode. The
+// signal propagates through hsTrue while the detector is prepared on
+// hsDet (the same slice for genie knowledge, or e.g. a noisy
+// preamble-based estimate from EstimateChannels). A single frame is a
+// batch of one.
 //
-//   - Transmission still runs frame-by-frame in the single-frame
-//     subcarrier-major order, each frame drawing noise from its own
-//     source, so every frame's noise schedule is exactly the
-//     single-frame schedule.
-//   - Detection extends the symbol-major SoA sweep across the whole
-//     batch: each subcarrier's detector preparation happens once per
-//     batch instead of once per (frame, symbol), and then every frame's
-//     observations on that subcarrier are swept in one pass. A
+//   - Transmission runs frame by frame, subcarrier-major, each frame
+//     drawing noise from its own source, so every frame's noise
+//     schedule is independent of the batch it rides in.
+//   - Detection is subcarrier-major across the whole batch: each
+//     subcarrier's detector is prepared once per batch, then every
+//     frame's observations on that subcarrier are swept in one pass. A
 //     preparation is a pure function of the subcarrier's channel (the
 //     cache-hit contract: a hit changes where prepared state comes
 //     from, never what it contains), and a detection is a pure function
-//     of (prepared state, observation), so reordering detections across
-//     frames cannot change any of them.
+//     of (prepared state, observation), so the batch a frame rides in
+//     cannot change any of its decisions.
 //
 // Only the complexity accounting (pool counters, detector stats) is
-// attributed batch-wide rather than per frame.
+// attributed batch-wide rather than per frame. The returned slice is
+// link-owned scratch, valid until the next call; the Results it points
+// to are the caller's.
 func (l *Link) TransmitReceiveBatchCSI(srcs []*rng.Source, frames []*Frame, hsTrue, hsDet []*cmplxmat.Matrix, det core.Detector, noiseVar float64) ([]*Result, error) {
 	cfg := l.cfg
 	b := len(frames)
 	if b == 0 || len(srcs) != b {
 		return nil, fmt.Errorf("phy: batch of %d frames with %d sources", b, len(srcs))
 	}
-	hs := hsTrue
-	if len(hs) != ofdm.NumData || len(hsDet) != ofdm.NumData {
-		return nil, fmt.Errorf("phy: %d/%d subcarrier channels, want %d", len(hs), len(hsDet), ofdm.NumData)
-	}
-	nc := len(frames[0].Payloads)
-	na := hs[0].Rows
-	if hs[0].Cols != nc {
-		return nil, fmt.Errorf("phy: channel has %d streams, frame has %d", hs[0].Cols, nc)
+	na, nc, err := ChannelShape(hsTrue, hsDet)
+	if err != nil {
+		return nil, err
 	}
 	for _, f := range frames {
 		if len(f.Payloads) != nc {
-			return nil, fmt.Errorf("phy: mixed stream counts in batch (%d vs %d)", len(f.Payloads), nc)
+			return nil, fmt.Errorf("phy: channel has %d streams, frame has %d", nc, len(f.Payloads))
 		}
 	}
 	var soft core.SoftDetector
@@ -519,57 +459,53 @@ func (l *Link) TransmitReceiveBatchCSI(srcs []*rng.Source, frames []*Frame, hsTr
 		}
 		soft = sd
 	}
-	for s := 0; s < ofdm.NumData; s++ {
-		if hsDet[s].Rows != na || hsDet[s].Cols != nc {
-			return nil, fmt.Errorf("phy: CSI shape mismatch at subcarrier %d", s)
-		}
-	}
 	T := cfg.NumSymbols
-	detIdx, detLLR, yb := l.sizeReceive(b*T, nc, na, soft != nil)
-	results := make([]*Result, b)
-	// Transmit frame-by-frame in the single-frame subcarrier-major
-	// order: frame f's symbol t on subcarrier s lands at SoA row f·T+t.
+	rows := b * T
+	// detIdx[r][s] holds the detected point indices of SoA row r = f·T+t
+	// (frame f, symbol t); detLLR the per-bit soft values when soft
+	// decoding is on.
+	detIdx, detLLR, yb := l.sizeReceive(rows, nc, na, soft != nil)
+	results := l.rx.results[:0]
 	for f := 0; f < b; f++ {
 		for s := 0; s < ofdm.NumData; s++ {
 			for t := 0; t < T; t++ {
-				at := ((f*T+t)*ofdm.NumData + s) * na
-				channel.Transmit(yb[at:at+na], srcs[f], hs[s], frames[f].X[t][s], noiseVar)
+				at := (s*rows + f*T + t) * na
+				channel.Transmit(yb[at:at+na], srcs[f], hsTrue[s], frames[f].X[t][s], noiseVar)
 			}
 		}
-		results[f] = &Result{StreamOK: make([]bool, nc)}
+		results = append(results, &Result{StreamOK: make([]bool, nc)})
 	}
-	// Batched detection: one preparation per subcarrier per batch, then
-	// a single sweep over every frame's symbols on that subcarrier.
+	l.rx.results = results
 	for s := 0; s < ofdm.NumData; s++ {
 		if err := l.prepareDetector(det, s, hsDet[s]); err != nil {
 			return nil, fmt.Errorf("phy: prepare subcarrier %d: %w", s, err)
 		}
 		for f := 0; f < b; f++ {
-			fIdx := detIdx[f*T : (f+1)*T]
-			var fLLR [][][]float64
-			if soft != nil {
-				fLLR = detLLR[f*T : (f+1)*T]
-			}
+			fIdx, fLLR := frameRows(detIdx, detLLR, f, T)
 			for t := 0; t < T; t++ {
-				at := ((f*T+t)*ofdm.NumData + s) * na
+				at := (s*rows + f*T + t) * na
 				if err := l.detectOne(det, soft, frames[f], results[f], fIdx, fLLR, yb[at:at+na], t, s, nc, noiseVar); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	// Per-frame, per-stream decoding, in frame order.
 	for f := 0; f < b; f++ {
-		fIdx := detIdx[f*T : (f+1)*T]
-		var fLLR [][][]float64
-		if soft != nil {
-			fLLR = detLLR[f*T : (f+1)*T]
-		}
+		fIdx, fLLR := frameRows(detIdx, detLLR, f, T)
 		if err := l.decodeFrame(frames[f], fIdx, fLLR, soft != nil, results[f]); err != nil {
 			return nil, err
 		}
 	}
 	return results, nil
+}
+
+// frameRows returns frame f's T symbol rows of the batch's detector
+// outputs (detLLR stays nil on the hard path).
+func frameRows(detIdx [][][]int, detLLR [][][]float64, f, T int) ([][][]int, [][][]float64) {
+	if detLLR != nil {
+		detLLR = detLLR[f*T : (f+1)*T]
+	}
+	return detIdx[f*T : (f+1)*T], detLLR
 }
 
 // decodeFrame decodes every stream of frame f into res.StreamOK —
@@ -641,8 +577,8 @@ func (l *Link) detectOne(det core.Detector, soft core.SoftDetector, f *Frame, re
 }
 
 // sizeReceive returns the geometry-dependent detector output buffers
-// and the flat SoA receive buffer for rows symbol rows (NumSymbols for
-// a single frame, batch×NumSymbols for a frame batch), reusing the
+// and the flat SoA receive buffer for rows symbol rows
+// (batch×NumSymbols), reusing the
 // link's scratch when it is already large enough — so alternating
 // batch sizes slice the same high-water-mark allocation instead of
 // reallocating. Every entry is fully overwritten before use (Transmit
