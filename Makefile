@@ -93,14 +93,16 @@ serve-bench:
 # projection-stack consistency (cached partial projections must equal
 # from-scratch recomputation to the last ULP on any search walk), the
 # hard-decision bypass (whenever the encoder-inverse walk accepts, it
-# must equal the full Viterbi recursion in bits and metric), and the
+# must equal the full Viterbi recursion in bits and metric), the
 # lane-parallel recursion (every lane must equal the one-codeword
-# recursion in bits and metric).
+# recursion in bits and metric), and the in-place reseedable random
+# source (New and Reseed must draw math/rand's stream for any seed).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDetectAgreement -fuzztime 20s ./internal/core
 	go test -run '^$$' -fuzz FuzzProjectionCache -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz FuzzHardDecodeBypass -fuzztime 10s ./internal/fec
 	go test -run '^$$' -fuzz FuzzHardDecodeLanes -fuzztime 10s ./internal/fec
+	go test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 10s ./internal/rng
 
 # The whole module, including the facade's streaming conformance and
 # Receiver-hammering tests; -short skips only the long benchmark-grade

@@ -34,14 +34,15 @@ const (
 // same matrix object), whereas the exact compare early-outs on the
 // first differing element for genuinely new channels and costs only
 // na·nc equality tests on a hit — far less than one Householder
-// reflection. Epoch counts refills, and Fingerprint exposes an FNV-1a
-// hash of the cached bits for cross-checks in tests and tooling.
+// reflection. Epoch counts refills. Fingerprint hashes the cached
+// bits (FNV-1a) for cross-checks in tests and tooling; the hash is
+// computed only when asked for, since no cache decision reads it and a
+// fill must not pay for it.
 //
 // A zero PreparedChannel is ready to use. The struct is not safe for
 // concurrent use; the link layer keeps one pool per worker.
 type PreparedChannel struct {
 	hcopy *cmplxmat.Matrix // private copy of the last-prepared channel
-	fp    uint64           // FNV-1a over hcopy's float bits
 	mode  prepMode
 	epoch uint64 // refill count; 0 means never filled
 
@@ -112,10 +113,16 @@ func (pc *PreparedChannel) Updates() uint64 { return pc.updates }
 func (pc *PreparedChannel) Epoch() uint64 { return pc.epoch }
 
 // Fingerprint returns the FNV-1a hash over the cached channel's float
-// bits, or zero when the cache is empty. Two refills with the same
-// channel produce the same fingerprint; it identifies cache contents
-// in logs and tests but is never used as the hit criterion.
-func (pc *PreparedChannel) Fingerprint() uint64 { return pc.fp }
+// bits, or zero when the cache has never been filled. Two refills with
+// the same channel produce the same fingerprint; it identifies cache
+// contents in logs and tests but is never used as the hit criterion,
+// so it is computed on each call rather than on each fill.
+func (pc *PreparedChannel) Fingerprint() uint64 {
+	if pc.epoch == 0 {
+		return 0
+	}
+	return fingerprint(pc.hcopy)
+}
 
 // Kappa2 returns the cached diagonal condition estimate κ̂² =
 // max|R[l][l]|²/min|R[l][l]|² of the prepared channel, or zero when the
@@ -185,7 +192,6 @@ func (pc *PreparedChannel) fill(h *cmplxmat.Matrix, mode prepMode) error {
 		pc.hcopy = cmplxmat.New(na, nc)
 	}
 	copy(pc.hcopy.Data, h.Data)
-	pc.fp = fingerprint(pc.hcopy)
 
 	// Build the QR input. The plain mode factorizes the cached copy
 	// directly (same bits as the caller's matrix, so the factors are
@@ -395,7 +401,6 @@ func (pc *PreparedChannel) tryUpdate(h *cmplxmat.Matrix, mode prepMode) bool {
 	}
 
 	copy(pc.hcopy.Data, h.Data)
-	pc.fp = fingerprint(pc.hcopy)
 	if err := pc.rebuildDiagTables(levels); err != nil {
 		// Updated factors went (numerically) rank deficient; hand the
 		// channel to the full path, which overwrites everything anyway.

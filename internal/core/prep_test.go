@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/channel"
@@ -293,6 +296,55 @@ func TestPrepPoolIncremental(t *testing.T) {
 	}
 	step(2, 2, 1, "drift beyond the gate forces a full refill")
 	step(3, 2, 1, "refilled channel is cached afterwards")
+}
+
+// fnvOf is the reference fingerprint: FNV-1a (hash/fnv) over the
+// little-endian bits of each element's real then imaginary part.
+func fnvOf(m *cmplxmat.Matrix) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range m.Data {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(real(v)))
+		h.Write(b[:])
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(imag(v)))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestFingerprintOnDemand pins the fingerprint now that fills no longer
+// compute it: zero on a never-filled cache, and after a full fill or an
+// incremental rank-1 update the hash of the channel the cache now
+// holds, in every cache mode.
+func TestFingerprintOnDemand(t *testing.T) {
+	var empty PreparedChannel
+	if fp := empty.Fingerprint(); fp != 0 {
+		t.Fatalf("never-filled cache fingerprint %#x, want 0", fp)
+	}
+	src := rng.New(64)
+	for _, tc := range prepDetectors(constellation.QAM16) {
+		var pc PreparedChannel
+		pc.SetIncremental(true)
+		h := channel.Rayleigh(src, 4, 4)
+		if _, err := tc.det.PrepareShared(&pc, h); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, want := pc.Fingerprint(), fnvOf(h); got != want {
+			t.Fatalf("%s: fingerprint after fill %#x, want %#x", tc.name, got, want)
+		}
+		old := pc.Fingerprint()
+		h2 := h.Clone()
+		h2.Set(1, 2, h2.At(1, 2)+complex(0.02, -0.01))
+		if _, err := tc.det.PrepareShared(&pc, h2); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if pc.Updates() != 1 {
+			t.Fatalf("%s: drift took %d incremental updates, want 1", tc.name, pc.Updates())
+		}
+		if got, want := pc.Fingerprint(), fnvOf(h2); got != want || got == old {
+			t.Errorf("%s: fingerprint after update %#x, want %#x (was %#x)", tc.name, got, want, old)
+		}
+	}
 }
 
 // TestPrepPoolIncrementalChainCap pins the forced-refactorization

@@ -152,6 +152,81 @@ func TestProcessBatchPerturbedModes(t *testing.T) {
 	}
 }
 
+// TestSourcePoolDeterminism pins the Processor's pooled substreams:
+// one Processor fed frames in shuffled order, in mixed batch sizes, must
+// give every frame the outcome a fresh Processor gives it alone. Between
+// calls the test draws from every pooled Source, so a sweep that skipped
+// a reseed — or an outcome that still read a pooled Source after its
+// sweep — would diverge.
+func TestSourcePoolDeterminism(t *testing.T) {
+	for _, mode := range []struct {
+		name   string
+		jitter float64
+		estCSI bool
+	}{{"plain", 0, false}, {"jitter", 4, false}, {"estcsi", 0, true}, {"jitter+estcsi", 4, true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := RunConfig{
+				Cons: constellation.QAM16, Rate: fec.Rate12,
+				NumSymbols: 2, SNRdB: 17, Seed: 91,
+				SNRJitterDB:  mode.jitter,
+				EstimatedCSI: mode.estCSI,
+			}
+			hs := batchChannels(29, 4, 3)
+			const frames = 16
+			ref := make([]FrameOutcome, frames)
+			for fi := range ref {
+				ref[fi] = runFramesSingle(t, cfg, GeoFactoryForTest, hs, []int64{int64(fi)})[0]
+			}
+
+			order := make([]int64, frames)
+			for i := range order {
+				order[i] = int64(i)
+			}
+			shuffle := rng.New(3)
+			for i := len(order) - 1; i > 0; i-- {
+				j := shuffle.Intn(i + 1)
+				order[i], order[j] = order[j], order[i]
+			}
+			proc, err := NewProcessor(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			det, err := cfg.buildDetector(GeoFactoryForTest, proc.NoiseVar())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := core.NewPrepPool(ofdm.NumData)
+			got := make([]FrameOutcome, frames)
+			var outs []FrameOutcome
+			sizes := []int{1, 4, 3}
+			for at, call := 0, 0; at < frames; call++ {
+				end := min(at+sizes[call%len(sizes)], frames)
+				outs = proc.ProcessBatch(outs, BatchWork{Frames: order[at:end], Channels: hs, Det: det, Pool: pool})
+				for k, o := range outs {
+					got[order[at+k]] = o
+				}
+				for k, src := range proc.srcs {
+					for d := 0; d <= k+call; d++ {
+						src.Norm()
+					}
+				}
+				at = end
+			}
+			if len(proc.srcs) > 4 {
+				t.Errorf("source pool grew to %d, want at most the largest batch (4)", len(proc.srcs))
+			}
+			for fi := range ref {
+				if (ref[fi].Err == nil) != (got[fi].Err == nil) {
+					t.Fatalf("frame %d error mismatch: fresh %v, pooled %v", fi, ref[fi].Err, got[fi].Err)
+				}
+				if !reflect.DeepEqual(ref[fi].Res, got[fi].Res) {
+					t.Fatalf("frame %d diverged:\n  fresh:  %+v\n  pooled: %+v", fi, ref[fi].Res, got[fi].Res)
+				}
+			}
+		})
+	}
+}
+
 // TestProcessBatchStatsAndSamples pins the attribution contract: the
 // batch's detector-stats delta lands on the first outcome (so sums
 // over a run stay exact), and the recorder sees one FrameSample per
@@ -342,10 +417,11 @@ func processFixture(tb testing.TB) (*Processor, BatchWork) {
 // TestProcessAllocCeiling pins the warm allocation counts of the frame
 // path: a single frame through Process, and a 4-frame ProcessBatch.
 // What remains is per-frame state a caller keeps (the encoded Frame,
-// the Result) plus the frame's substream; the batch's own bookkeeping
-// reuses Processor and Link scratch.
+// the Result); the frames' substreams are the Processor's pooled
+// Sources, reseeded in place, and the batch's own bookkeeping reuses
+// Processor and Link scratch.
 func TestProcessAllocCeiling(t *testing.T) {
-	const singleMax, batchMax = 11, 44
+	const singleMax, batchMax = 8, 32
 	proc, w := processFixture(t)
 	single := testing.AllocsPerRun(20, func() {
 		proc.Process(Work{Frame: 9, Channels: w.Channels, Det: w.Det, Pool: w.Pool})

@@ -65,9 +65,12 @@ type Processor struct {
 	// kappa is borrowed scratch for the per-frame κ̂² observability
 	// sample (reused across frames, only valid during RecordFrame).
 	kappa []float64
-	// frame, srcs and frames are reused batch scratch: Process's
-	// one-frame index list, and a sweep's per-frame substreams and
-	// encoded frames.
+	// frame and frames are reused batch scratch: Process's one-frame
+	// index list and a sweep's encoded frames. srcs is the pool of
+	// per-frame substreams: a sweep reseeds srcs[k] to frame k's
+	// substream before drawing from it, so a pooled Source carries no
+	// state from one sweep to the next and is never handed out beyond
+	// the sweep.
 	frame  [1]int64
 	srcs   []*rng.Source
 	frames []*phy.Frame
@@ -198,9 +201,13 @@ func (p *Processor) sweep(dst []FrameOutcome, w BatchWork, nc int) ([]FrameOutco
 		schedBefore = sched.Sched()
 	}
 	hsTrue, hsDet := w.Channels, w.Channels
-	srcs, frames := p.srcs[:0], p.frames[:0]
-	for _, fi := range w.Frames {
-		src := rng.Substream(cfg.Seed, fi)
+	for len(p.srcs) < len(w.Frames) {
+		p.srcs = append(p.srcs, rng.New(0))
+	}
+	srcs, frames := p.srcs[:len(w.Frames)], p.frames[:0]
+	for k, fi := range w.Frames {
+		src := srcs[k]
+		src.Reseed(rng.SubSeed(cfg.Seed, fi))
 		if cfg.SNRJitterDB > 0 {
 			hsTrue = jitterClients(src, w.Channels, cfg.SNRJitterDB)
 		}
@@ -214,13 +221,12 @@ func (p *Processor) sweep(dst []FrameOutcome, w BatchWork, nc int) ([]FrameOutco
 				return dst, err
 			}
 		}
-		srcs, frames = append(srcs, src), append(frames, f)
+		frames = append(frames, f)
 	}
 	res, err := p.l.TransmitReceiveBatchCSI(srcs, frames, hsTrue, hsDet, det, p.noiseVar)
 	// Keep the grown scratch, but not the batch's frames.
-	clear(srcs)
 	clear(frames)
-	p.srcs, p.frames = srcs[:0], frames[:0]
+	p.frames = frames[:0]
 	if err != nil {
 		return dst, err
 	}
