@@ -69,9 +69,10 @@ bench:
 # stage (a 4×4 frame: error-free bypass, lane-parallel recursion,
 # one-codeword ablation; and the fec kernels alone), and of the frame
 # path's per-frame cost and allocations (link.Processor: one frame
-# alone and a 4-frame batch).
+# alone and a 4-frame batch), and of the service's resident footprint
+# (live bytes and heap objects per group, 4×2 and 4×4).
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkDetect|BenchmarkDecodeFrame|BenchmarkDecodeHard|BenchmarkProcess' -benchmem -benchtime=1x ./...
+	go test -run '^$$' -bench 'BenchmarkDetect|BenchmarkDecodeFrame|BenchmarkDecodeHard|BenchmarkProcess|BenchmarkGroupFootprint' -benchmem -benchtime=1x ./...
 
 # Load-test the resident serving pipeline (cmd/geocell): tens of
 # thousands of concurrent simulated user groups through the sharded
@@ -95,14 +96,17 @@ serve-bench:
 # hard-decision bypass (whenever the encoder-inverse walk accepts, it
 # must equal the full Viterbi recursion in bits and metric), the
 # lane-parallel recursion (every lane must equal the one-codeword
-# recursion in bits and metric), and the in-place reseedable random
-# source (New and Reseed must draw math/rand's stream for any seed).
+# recursion in bits and metric), the in-place reseedable random
+# source (New and Reseed must draw math/rand's stream for any seed),
+# and the clamp-first axis slicer (it must equal the rounding formula
+# wherever that is defined, and the clamp everywhere else).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDetectAgreement -fuzztime 20s ./internal/core
 	go test -run '^$$' -fuzz FuzzProjectionCache -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz FuzzHardDecodeBypass -fuzztime 10s ./internal/fec
 	go test -run '^$$' -fuzz FuzzHardDecodeLanes -fuzztime 10s ./internal/fec
 	go test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 10s ./internal/rng
+	go test -run '^$$' -fuzz FuzzSliceAxis -fuzztime 10s ./internal/constellation
 
 # The whole module, including the facade's streaming conformance and
 # Receiver-hammering tests; -short skips only the long benchmark-grade

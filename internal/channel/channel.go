@@ -46,10 +46,18 @@ func SNRdBForNoiseVar(noiseVar float64) float64 {
 // the i.i.d. Rayleigh-fading model sampled per frame in §5.3.2.
 func Rayleigh(src *rng.Source, na, nc int) *cmplxmat.Matrix {
 	h := cmplxmat.New(na, nc)
+	RayleighInto(src, h)
+	return h
+}
+
+// RayleighInto redraws every entry of h as an independent CN(0,1)
+// sample, in row-major order: the same draws Rayleigh makes for a
+// matrix of h's shape, so a caller that lays its matrices out in one
+// backing array gets bitwise the channels Rayleigh would return.
+func RayleighInto(src *rng.Source, h *cmplxmat.Matrix) {
 	for i := range h.Data {
 		h.Data[i] = src.CN(1)
 	}
-	return h
 }
 
 // Correlated draws a Kronecker-correlated channel R_r^{1/2}·G·R_t^{1/2}

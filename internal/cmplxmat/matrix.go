@@ -40,6 +40,14 @@ func New(r, c int) *Matrix {
 	return &Matrix{Rows: r, Cols: c, Data: make([]complex128, r*c)}
 }
 
+// Carve makes m an r×c matrix over the first r·c elements of b and
+// returns the rest of b, so a caller can lay many matrices out in one
+// backing array. It panics if b is shorter than r·c.
+func (m *Matrix) Carve(b []complex128, r, c int) []complex128 {
+	m.Rows, m.Cols, m.Data = r, c, b[:r*c:r*c]
+	return b[r*c:]
+}
+
 // FromRows builds a matrix from a slice of equal-length rows.
 func FromRows(rows [][]complex128) *Matrix {
 	if len(rows) == 0 || len(rows[0]) == 0 {

@@ -10,21 +10,71 @@ import (
 // upper triangular. The sphere decoder requires the diagonal of R to
 // be real and non-negative, which this implementation guarantees.
 //
-// A QR value also owns the scratch buffers the factorization needs,
-// so a caller that repeatedly factorizes same-shaped matrices via
-// QRDecomposeInto performs no allocations after the first call.
+// A QR holds its factors and nothing else that lasts: the scratch a
+// factorization or rank-1 update needs lives in a QRWorkspace. A
+// caller keeping many factorizations (core.PrepPool keeps one per
+// subcarrier) drives them all through one workspace with
+// QRWorkspace.Decompose and QRWorkspace.Update. QRDecomposeInto and
+// QRUpdateInto run those same methods on a workspace the QR makes for
+// itself on first use, so a zero QR works on its own and re-filling it
+// with same-shaped matrices allocates nothing after the first call.
 type QR struct {
 	Q *Matrix // m×n, Q*Q = I
 	R *Matrix // n×n, upper triangular, real non-negative diagonal
 
-	// Factorization workspace, lazily sized by QRDecomposeInto and
-	// reused across calls when the input shape is unchanged.
-	work  *Matrix      // m×n working copy being triangularized
-	qfull *Matrix      // m×m accumulated product of reflections
+	own *QRWorkspace // made by QRDecomposeInto/QRUpdateInto on first use
+}
+
+// QRWorkspace is the scratch of QR factorizations and updates: one
+// backing array, grown to the largest shape seen, carved into the
+// Householder vector and either the working copy and the accumulated
+// reflector product or the update's Hessenberg factor. No call leaves
+// state in it that a later call reads, so one workspace may serve any
+// number of QR values in any interleaving, with results bitwise
+// identical to private workspaces. It is not safe for concurrent use:
+// a workspace belongs to one goroutine. The zero value is ready to
+// use.
+type QRWorkspace struct {
+	buf   []complex128
+	work  Matrix       // m×n working copy being triangularized
+	qfull Matrix       // m×m accumulated product of reflections
+	hess  Matrix       // (n+1)×n working factor being re-triangularized
 	v     []complex128 // Householder vector (decompose) / q̃ (update), length m
-	// Rank-1 update workspace, lazily sized by QRUpdateInto.
-	uw   []complex128 // projected update coefficients, length n+1
-	hess *Matrix      // (n+1)×n working factor being re-triangularized
+	uw    []complex128 // projected update coefficients, length n+1
+	m, n  int          // shape the views are cut for
+}
+
+// size cuts the workspace's views for an m×n factorization, growing
+// the backing array only when a larger shape than any before arrives.
+//
+//geolint:noalloc
+func (ws *QRWorkspace) size(m, n int) {
+	if ws.m == m && ws.n == n {
+		return
+	}
+	// A factorization and an update never run at once and leave
+	// nothing behind for each other, so the update's Hessenberg factor
+	// and coefficients overlay the factorization's working copy and
+	// reflector product.
+	need := m + max(m*n+m*m, (n+1)*(n+1))
+	if cap(ws.buf) < need {
+		ws.buf = make([]complex128, need) //geolint:alloc-ok first use or a larger shape only
+	}
+	b := ws.buf[:need]
+	ws.v, b = b[:m:m], b[m:]
+	ws.qfull.Carve(ws.work.Carve(b, m, n), m, m)
+	ws.uw = ws.hess.Carve(b, n+1, n)[: n+1 : n+1]
+	ws.m, ws.n = m, n
+}
+
+// workspace returns the QR's own workspace, making it on first use.
+//
+//geolint:noalloc
+func (qr *QR) workspace() *QRWorkspace {
+	if qr.own == nil {
+		qr.own = new(QRWorkspace) //geolint:alloc-ok first use only
+	}
+	return qr.own
 }
 
 // QRDecompose computes the thin QR factorization of a using Householder
@@ -33,43 +83,41 @@ func QRDecompose(a *Matrix) *QR {
 	return QRDecomposeInto(new(QR), a)
 }
 
-// QRDecomposeInto factorizes a into dst, reusing dst's factors and
-// internal workspace when their shapes already match a. It returns dst.
-// The result is bitwise identical to QRDecompose(a) — both run the
-// same factorization loop — so callers may cache and re-fill a QR
-// without perturbing downstream arithmetic. It panics if a has more
-// columns than rows.
+// QRDecomposeInto factorizes a into dst through dst's own workspace,
+// reusing dst's factors when their shapes already match a. It returns
+// dst. See QRWorkspace.Decompose.
 //
 //geolint:noalloc
 func QRDecomposeInto(dst *QR, a *Matrix) *QR {
+	return dst.workspace().Decompose(dst, a)
+}
+
+// Decompose factorizes a into dst using ws as scratch, reusing dst's
+// factors when their shapes already match a. It returns dst. The
+// result is bitwise identical to QRDecompose(a) — both run this loop,
+// and no scratch value survives from one call to the next — so callers
+// may cache, re-fill and share workspaces without perturbing
+// downstream arithmetic. It panics if a has more columns than rows.
+//
+//geolint:noalloc
+func (ws *QRWorkspace) Decompose(dst *QR, a *Matrix) *QR {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		panic(ErrShape)
 	}
+	ws.size(m, n)
 	// Working copy that will become the triangular factor (top n rows).
-	r := dst.work
-	if r == nil || r.Rows != m || r.Cols != n {
-		r = New(m, n)
-		dst.work = r
-	}
+	r := &ws.work
 	copy(r.Data, a.Data)
 	// qfull accumulates the product of reflections, starting from I.
-	qfull := dst.qfull
-	if qfull == nil || qfull.Rows != m || qfull.Cols != m {
-		qfull = New(m, m)
-		dst.qfull = qfull
-	} else {
-		for i := range qfull.Data {
-			qfull.Data[i] = 0
-		}
+	qfull := &ws.qfull
+	for i := range qfull.Data {
+		qfull.Data[i] = 0
 	}
 	for i := 0; i < m; i++ {
 		qfull.Set(i, i, 1)
 	}
-	if cap(dst.v) < m {
-		dst.v = make([]complex128, m) //geolint:alloc-ok first use or reshape only
-	}
-	v := dst.v[:m]
+	v := ws.v
 
 	for k := 0; k < n; k++ {
 		// Build the Householder vector for column k below the diagonal.
@@ -192,10 +240,19 @@ func QRDecomposeInto(dst *QR, a *Matrix) *QR {
 // R real and non-negative. The factors drift from a freshly computed
 // factorization only by normal floating-point roundoff; callers that
 // chain many updates should refactorize periodically (see
-// core.PreparedChannel) to keep the accumulated error bounded.
+// core.PreparedChannel) to keep the accumulated error bounded. The
+// scratch is dst's own workspace; see QRWorkspace.Update.
 //
 //geolint:noalloc
 func QRUpdateInto(dst *QR, u, v []complex128) *QR {
+	return dst.workspace().Update(dst, u, v)
+}
+
+// Update is QRUpdateInto with ws as the scratch: it applies A ← A +
+// u·v* to the factorization held in dst, bitwise as QRUpdateInto does.
+//
+//geolint:noalloc
+func (ws *QRWorkspace) Update(dst *QR, u, v []complex128) *QR {
 	if dst.Q == nil || dst.R == nil {
 		panic(ErrShape)
 	}
@@ -203,14 +260,9 @@ func QRUpdateInto(dst *QR, u, v []complex128) *QR {
 	if len(u) != m || len(v) != n {
 		panic(ErrShape)
 	}
-	if cap(dst.uw) < n+1 {
-		dst.uw = make([]complex128, n+1) //geolint:alloc-ok first use or reshape only
-	}
-	w := dst.uw[:n+1]
-	if cap(dst.v) < m {
-		dst.v = make([]complex128, m) //geolint:alloc-ok first use or reshape only
-	}
-	qt := dst.v[:m]
+	ws.size(m, n)
+	w := ws.uw
+	qt := ws.v
 	q := dst.Q
 	// w = Q*·u and the in-range residual u⊥ = u − Q·w.
 	var unorm2 float64
@@ -251,11 +303,7 @@ func QRUpdateInto(dst *QR, u, v []complex128) *QR {
 	// hs holds [R; 0] with p rows; rotations chase w into its first
 	// entry, turning hs upper Hessenberg, then the rank-1 term lands in
 	// row 0 and a second sweep re-triangularizes.
-	hs := dst.hess
-	if hs == nil || hs.Rows != n+1 || hs.Cols != n {
-		hs = New(n+1, n)
-		dst.hess = hs
-	}
+	hs := &ws.hess
 	for i := 0; i < n; i++ {
 		copy(hs.Row(i), dst.R.Row(i))
 	}
@@ -263,7 +311,7 @@ func QRUpdateInto(dst *QR, u, v []complex128) *QR {
 		hs.Row(n)[j] = 0
 	}
 	for k := p - 2; k >= 0; k-- {
-		updGivens(dst, hs, k, w[k], w[k+1], &w[k])
+		updGivens(q, qt, hs, k, w[k], w[k+1], &w[k])
 		w[k+1] = 0
 	}
 	alpha := w[0]
@@ -279,7 +327,7 @@ func QRUpdateInto(dst *QR, u, v []complex128) *QR {
 		if k+1 >= p {
 			break
 		}
-		updGivens(dst, hs, k, hs.At(k, k), hs.At(k+1, k), nil)
+		updGivens(q, qt, hs, k, hs.At(k, k), hs.At(k+1, k), nil)
 		hs.Set(k+1, k, 0)
 	}
 	// Extract the updated thin factors and restore the real
@@ -319,13 +367,13 @@ func QRUpdateInto(dst *QR, u, v []complex128) *QR {
 // updGivens applies one Givens rotation on rows (k, k+1) of hs —
 // chosen to map the pair (a, b) to (√(|a|²+|b|²), 0) — and the
 // conjugate-transposed rotation to the corresponding basis columns:
-// columns (k, k+1) of Q, with dst.v standing in for the virtual column
+// columns (k, k+1) of q, with qt standing in for the virtual column
 // n. When rOut is non-nil the rotated pair head is stored through it
 // (used while chasing the w vector). A zero b leaves everything
 // untouched.
 //
 //geolint:noalloc
-func updGivens(dst *QR, hs *Matrix, k int, a, b complex128, rOut *complex128) {
+func updGivens(q *Matrix, qt []complex128, hs *Matrix, k int, a, b complex128, rOut *complex128) {
 	if b == 0 {
 		if rOut != nil {
 			*rOut = a
@@ -351,8 +399,7 @@ func updGivens(dst *QR, hs *Matrix, k int, a, b complex128, rOut *complex128) {
 	}
 	// Basis columns: [colk, colk1] ← [colk, colk1]·G*, with G the
 	// rotation above; column n is the virtual residual direction in
-	// dst.v.
-	q := dst.Q
+	// qt.
 	m := q.Rows
 	nq := q.Cols
 	for i := 0; i < m; i++ {
@@ -360,24 +407,24 @@ func updGivens(dst *QR, hs *Matrix, k int, a, b complex128, rOut *complex128) {
 		if k < nq {
 			x = q.At(i, k)
 		} else {
-			x = dst.v[i]
+			x = qt[i]
 		}
 		if k+1 < nq {
 			y = q.At(i, k+1)
 		} else {
-			y = dst.v[i]
+			y = qt[i]
 		}
 		nx := x*cmplx.Conj(c) + y*cmplx.Conj(s)
 		ny := x*(-cmplx.Conj(b/r)) + y*cmplx.Conj(a/r)
 		if k < nq {
 			q.Set(i, k, nx)
 		} else {
-			dst.v[i] = nx
+			qt[i] = nx
 		}
 		if k+1 < nq {
 			q.Set(i, k+1, ny)
 		} else {
-			dst.v[i] = ny
+			qt[i] = ny
 		}
 	}
 }

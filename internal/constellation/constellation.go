@@ -135,14 +135,26 @@ func (c *Constellation) Coords(idx int) (col, row int) {
 }
 
 // SliceAxis quantizes one normalized real coordinate to the nearest
-// PAM line index, clamped into [0, side).
+// PAM line index, clamped into [0, side); a tie rounds up (half away
+// from zero, as math.Round). NaN and −∞ slice to 0, +∞ to side−1.
+//
+// The clamp comes before any float→int conversion: Go leaves that
+// conversion implementation-defined when the value does not fit (amd64
+// turned +∞ into index 0, the farthest point), and after the clamp
+// t < side−1, so int(t) is the exact floor and t − floor(t) the exact
+// fractional part — the truncate-and-compare equals rounding.
 func (c *Constellation) SliceAxis(v float64) int {
 	// Invert: v = scale·(2i − (side−1)) ⇒ i = (v/scale + side−1)/2.
-	i := int(math.Round((v/c.scale + float64(c.side-1)) / 2))
-	if i < 0 {
-		i = 0
-	} else if i >= c.side {
-		i = c.side - 1
+	t := (v/c.scale + float64(c.side-1)) / 2
+	if t >= float64(c.side-1) {
+		return c.side - 1
+	}
+	if !(t >= 0) { // negative or NaN
+		return 0
+	}
+	i := int(t)
+	if t-float64(i) >= 0.5 {
+		i++
 	}
 	return i
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/cmplxmat"
 )
@@ -22,9 +23,9 @@ const (
 )
 
 // PreparedChannel caches everything a detector's Prepare derives from
-// one channel matrix: the QR factorization (with its reusable
-// workspace), the column permutation when ordering is on, and the
-// diagonal tables (|R[l][l]|² and 1/R[l][l]) the tree search consumes.
+// one channel matrix: the QR factors, the column permutation when
+// ordering is on, and the diagonal tables (|R[l][l]|² and 1/R[l][l])
+// the tree search consumes.
 //
 // A PreparedChannel is filled on the first PrepareShared against a
 // channel and then revalidated by an exact elementwise comparison of
@@ -39,18 +40,19 @@ const (
 // computed only when asked for, since no cache decision reads it and a
 // fill must not pay for it.
 //
-// A zero PreparedChannel is ready to use. The struct is not safe for
-// concurrent use; the link layer keeps one pool per worker.
+// The retained state lives in the slabs of a prepStore, and the
+// factorization and mode scratch is the store's too (see prepStore):
+// a PrepPool's slots share the pool's store, and a zero
+// PreparedChannel — ready to use, as detectors' own caches are — makes
+// a one-slot store of its own on its first fill. The struct is not
+// safe for concurrent use; the link layer keeps one pool per worker.
 type PreparedChannel struct {
 	hcopy *cmplxmat.Matrix // private copy of the last-prepared channel
-	mode  prepMode
-	epoch uint64 // refill count; 0 means never filled
 
-	qr   cmplxmat.QR      // factorization + its workspace
-	perm []int            // QR column → original stream, ordered mode only
-	rll2 []float64        // |R[l][l]|² per tree level
-	rinv []complex128     // 1/R[l][l] per tree level
-	hq   *cmplxmat.Matrix // derived QR input (permuted copy / real embedding)
+	qr   cmplxmat.QR  // factors only; the workspace is the store's
+	perm []int        // QR column → original stream, ordered mode only
+	rll2 []float64    // |R[l][l]|² per tree level
+	rinv []complex128 // 1/R[l][l] per tree level
 
 	// kappa2 is the diagonal condition estimate κ̂² = max|R[l][l]|² /
 	// min|R[l][l]|², derived for free from the diagonal tables whenever
@@ -60,7 +62,8 @@ type PreparedChannel struct {
 	// arithmetic on the hot path.
 	kappa2 float64
 
-	energy []float64 // column-energy scratch for the ordering pass
+	epoch   uint64 // refill count; 0 means never filled
+	updates uint64 // incremental refills (see SetIncremental)
 
 	// Zero-forcing filter side-cache: zfw is the cached pseudo-inverse
 	// of zfcopy. It lives beside the QR derivations rather than in the
@@ -70,20 +73,174 @@ type PreparedChannel struct {
 	zfw    *cmplxmat.Matrix
 	zfcopy *cmplxmat.Matrix
 
+	st   *prepStore // owner of the slabs and scratch; nil until the first fill of a standalone cache
+	slot int32      // this cache's segment in st's slabs
+
 	// Incremental re-preparation (opt-in via SetIncremental): a miss
 	// whose cached channel has the same shape and mode and has only
 	// drifted slightly is absorbed by per-column rank-1 QR updates
-	// instead of a full refactorization. updates counts incremental
-	// refills, chain the consecutive ones since the last full
-	// factorization — capped so accumulated rotation roundoff is
-	// periodically squeezed back out by a fresh decomposition.
+	// instead of a full refactorization. chain counts the consecutive
+	// ones since the last full factorization — capped so accumulated
+	// rotation roundoff is periodically squeezed back out by a fresh
+	// decomposition.
+	chain       int32
+	mode        prepMode
 	incremental bool
-	updates     uint64
-	chain       int
-	ucol        []complex128 // rank-1 update column scratch
-	ucol2       []complex128 // second embedding column, RVD mode
-	vcol        []complex128 // one-hot right factor scratch
-	permScratch []int        // reordering probe, ordered mode
+}
+
+// prepShape is the geometry a fill needs storage for: an na×nc channel
+// whose QR input is m×n (the channel itself or its column permutation,
+// or the 2na×2nc real embedding).
+type prepShape struct{ na, nc, m, n int }
+
+// shapeOf returns the storage geometry of preparing h in mode.
+func shapeOf(h *cmplxmat.Matrix, mode prepMode) prepShape {
+	if mode == prepModeRVD {
+		return prepShape{h.Rows, h.Cols, 2 * h.Rows, 2 * h.Cols}
+	}
+	return prepShape{h.Rows, h.Cols, h.Rows, h.Cols}
+}
+
+// prepSlab is the retained state of a run of same-shaped slots, laid
+// out in three pointer-free arrays plus one array of matrix headers.
+// Slot k's segment holds, in order, its channel copy, Q, R and 1/R[l][l]
+// (complex), its |R[l][l]|² (float) and its permutation (int).
+type prepSlab struct {
+	shape prepShape
+	cplx  []complex128
+	flt   []float64
+	ints  []int
+	mats  []cmplxmat.Matrix // channel copy, Q and R headers per slot
+}
+
+// carve allocates s for slots segments of shape sh: four objects
+// whatever the slot count.
+//
+//geolint:noalloc
+func (s *prepSlab) carve(slots int, sh prepShape) {
+	*s = prepSlab{
+		shape: sh,
+		cplx:  make([]complex128, slots*sh.complexPerSlot()), //geolint:alloc-ok first fill or reshape only
+		flt:   make([]float64, slots*sh.n),                   //geolint:alloc-ok first fill or reshape only
+		ints:  make([]int, slots*sh.nc),                      //geolint:alloc-ok first fill or reshape only
+		mats:  make([]cmplxmat.Matrix, 3*slots),              //geolint:alloc-ok first fill or reshape only
+	}
+}
+
+// complexPerSlot is the complex elements one slot retains: the na×nc
+// channel copy, the m×n Q, the n×n R and the n reciprocal diagonals.
+func (sh prepShape) complexPerSlot() int { return sh.na*sh.nc + sh.m*sh.n + sh.n*sh.n + sh.n }
+
+// PrepSlotBytes returns the heap bytes one PrepPool slot retains once
+// it holds the plain or ordered QR derivation of an na×nc channel: the
+// PreparedChannel struct and its segment of the pool's slabs (complex,
+// float and int values and three matrix headers), before the allocator
+// rounds the slabs up. The scratch the slots share comes once per pool
+// on top.
+func PrepSlotBytes(na, nc int) int {
+	sh := prepShape{na, nc, na, nc}
+	return int(unsafe.Sizeof(PreparedChannel{})) + 16*sh.complexPerSlot() + 8*(sh.n+sh.nc) +
+		3*int(unsafe.Sizeof(cmplxmat.Matrix{}))
+}
+
+// assign points pc's retained state at segment k of s.
+//
+//geolint:noalloc
+func (s *prepSlab) assign(pc *PreparedChannel, k int) {
+	sh := s.shape
+	cs := sh.complexPerSlot()
+	c := s.cplx[k*cs : (k+1)*cs]
+	pc.hcopy, pc.qr.Q, pc.qr.R = &s.mats[3*k], &s.mats[3*k+1], &s.mats[3*k+2]
+	c = pc.hcopy.Carve(c, sh.na, sh.nc)
+	c = pc.qr.Q.Carve(c, sh.m, sh.n)
+	c = pc.qr.R.Carve(c, sh.n, sh.n)
+	pc.rinv = c[:sh.n:sh.n]
+	pc.rll2 = s.flt[k*sh.n : (k+1)*sh.n : (k+1)*sh.n]
+	pc.perm = s.ints[k*sh.nc : (k+1)*sh.nc : (k+1)*sh.nc]
+}
+
+// prepStore is what the slots of one PrepPool share, or what a
+// standalone PreparedChannel owns alone: the slab their retained state
+// is carved from, and the scratch every fill and rank-1 update reuses —
+// the QR workspace and the mode-only buffers. No scratch value outlives
+// the fill or update that wrote it, so sharing changes no output bit.
+// A store belongs to one goroutine, like the pool that holds it.
+type prepStore struct {
+	slots int      // segments the slab is carved for
+	slab  prepSlab // zero until the first fill
+
+	qr cmplxmat.QRWorkspace
+
+	// Mode-only scratch, cut for the shape fitted last and grown only
+	// past the largest shape seen.
+	fitted      prepShape
+	cscr        []complex128    // backs hq, ucol, ucol2 and vcol
+	hq          cmplxmat.Matrix // derived QR input (permuted copy / real embedding)
+	ucol        []complex128    // rank-1 update column
+	ucol2       []complex128    // second embedding column, RVD mode
+	vcol        []complex128    // one-hot right factor
+	energy      []float64       // column energies for the ordering pass
+	permScratch []int           // reordering probe, ordered mode
+}
+
+// store returns pc's store, making a one-slot store for a standalone
+// cache on its first fill.
+//
+//geolint:noalloc
+func (pc *PreparedChannel) store() *prepStore {
+	if pc.st == nil {
+		pc.st = &prepStore{slots: 1} //geolint:alloc-ok first fill of a standalone cache only
+	}
+	return pc.st
+}
+
+// fits reports whether pc's retained state is already cut for sh.
+func (pc *PreparedChannel) fits(sh prepShape) bool {
+	return pc.hcopy != nil && pc.hcopy.Rows == sh.na && pc.hcopy.Cols == sh.nc &&
+		pc.qr.Q.Rows == sh.m && pc.qr.Q.Cols == sh.n
+}
+
+// take gives pc retained storage for sh: its own segment of the slab,
+// carved for every slot at the store's first fill, when sh is the
+// slab's shape; fresh storage from a one-slot slab otherwise (a
+// standalone cache re-carves its own slab).
+//
+//geolint:noalloc
+func (st *prepStore) take(pc *PreparedChannel, sh prepShape) {
+	if st.slab.shape == (prepShape{}) || st.slots == 1 {
+		st.slab.carve(st.slots, sh)
+	}
+	if st.slab.shape == sh {
+		st.slab.assign(pc, int(pc.slot))
+		return
+	}
+	var own prepSlab
+	own.carve(1, sh)
+	own.assign(pc, 0)
+}
+
+// fit cuts the mode-only scratch for sh.
+//
+//geolint:noalloc
+func (st *prepStore) fit(sh prepShape) {
+	if st.fitted == sh {
+		return
+	}
+	need := sh.m*sh.n + 2*sh.m + sh.n
+	if cap(st.cscr) < need {
+		st.cscr = make([]complex128, need) //geolint:alloc-ok first fill or a larger shape only
+	}
+	b := st.hq.Carve(st.cscr[:need], sh.m, sh.n)
+	st.ucol, b = b[:sh.m:sh.m], b[sh.m:]
+	st.ucol2, b = b[:sh.m:sh.m], b[sh.m:]
+	st.vcol = b[:sh.n:sh.n]
+	if cap(st.energy) < sh.nc {
+		st.energy = make([]float64, sh.nc)  //geolint:alloc-ok first fill or a larger shape only
+		st.permScratch = make([]int, sh.nc) //geolint:alloc-ok first fill or a larger shape only
+	}
+	st.energy = st.energy[:sh.nc]
+	st.permScratch = st.permScratch[:sh.nc]
+	st.fitted = sh
 }
 
 // maxUpdateChain bounds consecutive rank-1 re-preparations between
@@ -187,47 +344,35 @@ func (pc *PreparedChannel) matches(h *cmplxmat.Matrix, mode prepMode) bool {
 //geolint:noalloc
 func (pc *PreparedChannel) fill(h *cmplxmat.Matrix, mode prepMode) error {
 	pc.mode = prepModeNone
-	na, nc := h.Rows, h.Cols
-	if pc.hcopy == nil || pc.hcopy.Rows != na || pc.hcopy.Cols != nc {
-		pc.hcopy = cmplxmat.New(na, nc)
+	sh := shapeOf(h, mode)
+	st := pc.store()
+	if !pc.fits(sh) {
+		st.take(pc, sh)
 	}
+	st.fit(sh)
 	copy(pc.hcopy.Data, h.Data)
 
 	// Build the QR input. The plain mode factorizes the cached copy
 	// directly (same bits as the caller's matrix, so the factors are
 	// bitwise those of QRDecompose(h)); the other modes derive it into
-	// a cache-owned workspace matrix.
+	// the store's scratch matrix.
 	hq := pc.hcopy
-	levels := nc
 	switch mode {
 	case prepModeOrderedQR:
-		if cap(pc.perm) < nc {
-			pc.perm = make([]int, nc) //geolint:alloc-ok first use or reshape only
-		}
-		pc.perm = pc.perm[:nc]
-		if cap(pc.energy) < nc {
-			pc.energy = make([]float64, nc) //geolint:alloc-ok first use or reshape only
-		}
-		columnOrderInto(pc.perm, pc.energy[:nc], h)
-		if pc.hq == nil || pc.hq.Rows != na || pc.hq.Cols != nc {
-			pc.hq = cmplxmat.New(na, nc)
-		}
-		permuteColumnsInto(pc.hq, h, pc.perm)
-		hq = pc.hq
+		pc.perm = pc.perm[:sh.nc]
+		columnOrderInto(pc.perm, st.energy, h)
+		hq = &st.hq
+		permuteColumnsInto(hq, h, pc.perm)
 	case prepModeRVD:
-		if pc.hq == nil || pc.hq.Rows != 2*na || pc.hq.Cols != 2*nc {
-			pc.hq = cmplxmat.New(2*na, 2*nc)
-		}
-		embedReal(pc.hq, h)
-		hq = pc.hq
-		levels = 2 * nc
+		hq = &st.hq
+		embedReal(hq, h)
 	default:
 		pc.perm = pc.perm[:0]
 	}
 
-	cmplxmat.QRDecomposeInto(&pc.qr, hq)
+	st.qr.Decompose(&pc.qr, hq)
 
-	if err := pc.rebuildDiagTables(levels); err != nil {
+	if err := pc.rebuildDiagTables(); err != nil {
 		return err
 	}
 	pc.mode = mode
@@ -237,18 +382,13 @@ func (pc *PreparedChannel) fill(h *cmplxmat.Matrix, mode prepMode) error {
 }
 
 // rebuildDiagTables re-derives the |R[l][l]|² and 1/R[l][l] tables the
-// tree search consumes from the current factorization, reporting rank
-// deficiency as an error.
+// tree search consumes from the current factorization (one entry per
+// tree level, as cut by the slab), reporting rank deficiency as an
+// error.
 //
 //geolint:noalloc
-func (pc *PreparedChannel) rebuildDiagTables(levels int) error {
-	if cap(pc.rll2) < levels {
-		pc.rll2 = make([]float64, levels)    //geolint:alloc-ok first use or reshape only
-		pc.rinv = make([]complex128, levels) //geolint:alloc-ok first use or reshape only
-	}
-	pc.rll2 = pc.rll2[:levels]
-	pc.rinv = pc.rinv[:levels]
-	for l := 0; l < levels; l++ {
+func (pc *PreparedChannel) rebuildDiagTables() error {
+	for l := range pc.rll2 {
 		rll := pc.qr.R.At(l, l)
 		mag2 := real(rll)*real(rll) + imag(rll)*imag(rll)
 		if mag2 == 0 { //geolint:float-ok exact-zero test for rank deficiency, not a tolerance comparison
@@ -285,7 +425,7 @@ func (pc *PreparedChannel) rebuildDiagTables(levels int) error {
 //
 //geolint:noalloc
 func (pc *PreparedChannel) tryUpdate(h *cmplxmat.Matrix, mode prepMode) bool {
-	if pc.epoch == 0 || pc.mode != mode || pc.hcopy == nil || pc.chain >= maxUpdateChain {
+	if pc.epoch == 0 || pc.mode != mode || pc.chain >= maxUpdateChain {
 		return false
 	}
 	if pc.hcopy.Rows != h.Rows || pc.hcopy.Cols != h.Cols {
@@ -305,33 +445,21 @@ func (pc *PreparedChannel) tryUpdate(h *cmplxmat.Matrix, mode prepMode) bool {
 		return false
 	}
 
-	rows, levels := na, nc
-	if mode == prepModeRVD {
-		rows, levels = 2*na, 2*nc
-	}
-	if cap(pc.ucol) < rows || cap(pc.vcol) < levels || cap(pc.permScratch) < nc {
-		pc.ucol = make([]complex128, rows)   //geolint:alloc-ok first use or reshape only
-		pc.ucol2 = make([]complex128, rows)  //geolint:alloc-ok first use or reshape only
-		pc.vcol = make([]complex128, levels) //geolint:alloc-ok first use or reshape only
-		pc.permScratch = make([]int, nc)     //geolint:alloc-ok first use or reshape only
-	}
-	pc.ucol = pc.ucol[:rows]
-	pc.ucol2 = pc.ucol2[:rows]
-	pc.vcol = pc.vcol[:levels]
-	for i := range pc.vcol {
-		pc.vcol[i] = 0
+	// The QR input itself is not kept up to date: every full fill
+	// rebuilds it from h, and the update reads only the factors.
+	st := pc.st
+	st.fit(shapeOf(h, mode))
+	ucol, ucol2, vcol := st.ucol, st.ucol2, st.vcol
+	for i := range vcol {
+		vcol[i] = 0
 	}
 
 	if mode == prepModeOrderedQR {
 		// The update only preserves the cached derivation when the
 		// column-energy ordering is unchanged; a reordering permutes the
 		// QR input wholesale and needs a fresh factorization.
-		pc.permScratch = pc.permScratch[:nc]
-		if cap(pc.energy) < nc {
-			pc.energy = make([]float64, nc) //geolint:alloc-ok first use or reshape only
-		}
-		columnOrderInto(pc.permScratch, pc.energy[:nc], h)
-		for i, p := range pc.permScratch {
+		columnOrderInto(st.permScratch, st.energy, h)
+		for i, p := range st.permScratch {
 			if pc.perm[i] != p {
 				return false
 			}
@@ -356,24 +484,17 @@ func (pc *PreparedChannel) tryUpdate(h *cmplxmat.Matrix, mode prepMode) bool {
 			// real): one drifted complex column is two rank-1 updates.
 			for r := 0; r < na; r++ {
 				d := h.At(r, c) - pc.hcopy.At(r, c)
-				pc.ucol[r] = complex(real(d), 0)
-				pc.ucol[r+na] = complex(imag(d), 0)
-				pc.ucol2[r] = complex(-imag(d), 0)
-				pc.ucol2[r+na] = complex(real(d), 0)
+				ucol[r] = complex(real(d), 0)
+				ucol[r+na] = complex(imag(d), 0)
+				ucol2[r] = complex(-imag(d), 0)
+				ucol2[r+na] = complex(real(d), 0)
 			}
-			pc.vcol[c] = 1
-			cmplxmat.QRUpdateInto(&pc.qr, pc.ucol, pc.vcol)
-			pc.vcol[c] = 0
-			pc.vcol[c+nc] = 1
-			cmplxmat.QRUpdateInto(&pc.qr, pc.ucol2, pc.vcol)
-			pc.vcol[c+nc] = 0
-			for r := 0; r < na; r++ {
-				v := h.At(r, c)
-				pc.hq.Set(r, c, complex(real(v), 0))
-				pc.hq.Set(r, c+nc, complex(-imag(v), 0))
-				pc.hq.Set(r+na, c, complex(imag(v), 0))
-				pc.hq.Set(r+na, c+nc, complex(real(v), 0))
-			}
+			vcol[c] = 1
+			st.qr.Update(&pc.qr, ucol, vcol)
+			vcol[c] = 0
+			vcol[c+nc] = 1
+			st.qr.Update(&pc.qr, ucol2, vcol)
+			vcol[c+nc] = 0
 		case prepModeOrderedQR:
 			j := 0 // QR input column holding stream c under the ordering
 			for ; j < nc; j++ {
@@ -382,26 +503,23 @@ func (pc *PreparedChannel) tryUpdate(h *cmplxmat.Matrix, mode prepMode) bool {
 				}
 			}
 			for r := 0; r < na; r++ {
-				pc.ucol[r] = h.At(r, c) - pc.hcopy.At(r, c)
+				ucol[r] = h.At(r, c) - pc.hcopy.At(r, c)
 			}
-			pc.vcol[j] = 1
-			cmplxmat.QRUpdateInto(&pc.qr, pc.ucol, pc.vcol)
-			pc.vcol[j] = 0
-			for r := 0; r < na; r++ {
-				pc.hq.Set(r, j, h.At(r, c))
-			}
+			vcol[j] = 1
+			st.qr.Update(&pc.qr, ucol, vcol)
+			vcol[j] = 0
 		default: // prepModeQR: the QR input is the cached copy itself
 			for r := 0; r < na; r++ {
-				pc.ucol[r] = h.At(r, c) - pc.hcopy.At(r, c)
+				ucol[r] = h.At(r, c) - pc.hcopy.At(r, c)
 			}
-			pc.vcol[c] = 1
-			cmplxmat.QRUpdateInto(&pc.qr, pc.ucol, pc.vcol)
-			pc.vcol[c] = 0
+			vcol[c] = 1
+			st.qr.Update(&pc.qr, ucol, vcol)
+			vcol[c] = 0
 		}
 	}
 
 	copy(pc.hcopy.Data, h.Data)
-	if err := pc.rebuildDiagTables(levels); err != nil {
+	if err := pc.rebuildDiagTables(); err != nil {
 		// Updated factors went (numerically) rank deficient; hand the
 		// channel to the full path, which overwrites everything anyway.
 		pc.mode = prepModeNone
@@ -517,20 +635,34 @@ type SharedPreparer interface {
 // PrepPool holds one PreparedChannel per slot — one per OFDM data
 // subcarrier in the link pipeline — so a worker's detector re-prepares
 // each subcarrier only when that subcarrier's channel actually
-// changes. It is not safe for concurrent use: every pipeline worker
-// owns its own pool.
+// changes. The slots keep their state in one slab per element type,
+// carved at the pool's first fill, and share one QR workspace and one
+// set of mode scratch (prepStore): a pool of any slot count is a
+// handful of heap objects. The pool and its workspace belong to one
+// goroutine: it is not safe for concurrent use, and each pipeline
+// worker and each resident serving group has its own pool, used only
+// by the goroutine serving it. A pool is used through the pointer
+// NewPrepPool returns; its slots point into it.
 type PrepPool struct {
 	pcs          []PreparedChannel
+	store        prepStore // every slot's slab and the scratch they share
 	hits, misses uint64
 	qrUpdates    uint64
 }
 
-// NewPrepPool returns a pool with `slots` empty cache entries.
+// NewPrepPool returns a pool with `slots` empty cache entries. Their
+// retained state is carved out of one slab per element type at the
+// pool's first fill (see prepStore).
 func NewPrepPool(slots int) *PrepPool {
 	if slots <= 0 {
 		panic(fmt.Sprintf("core: PrepPool needs at least one slot, got %d", slots))
 	}
-	return &PrepPool{pcs: make([]PreparedChannel, slots)}
+	p := &PrepPool{pcs: make([]PreparedChannel, slots), store: prepStore{slots: slots}}
+	for i := range p.pcs {
+		p.pcs[i].st = &p.store
+		p.pcs[i].slot = int32(i)
+	}
+	return p
 }
 
 // Slots returns the number of cache entries.

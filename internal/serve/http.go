@@ -20,7 +20,9 @@ import (
 //	                         overloaded shard answers 503 with the
 //	                         rejection count, the admission-control
 //	                         contract made visible to clients; a
-//	                         group of 2^43 or more answers 400
+//	                         group of 2^43 or more answers 400, and
+//	                         a group past its last frame sequence
+//	                         (ErrSeqExhausted) answers 409
 //
 // pipeline may be nil when the service runs without a StatsRecorder.
 func NewHandler(s *Server, pipeline *obs.StatsRecorder) http.Handler {
@@ -70,6 +72,9 @@ func NewHandler(s *Server, pipeline *obs.StatsRecorder) http.Handler {
 				sum.Rejected++
 			case errors.Is(err, ErrBadGroup):
 				http.Error(w, "ingest: "+err.Error(), http.StatusBadRequest)
+				return
+			case errors.Is(err, ErrSeqExhausted):
+				http.Error(w, "ingest: "+err.Error(), http.StatusConflict)
 				return
 			default:
 				http.Error(w, err.Error(), http.StatusInternalServerError)

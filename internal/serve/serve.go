@@ -41,6 +41,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/channel"
 	"repro/internal/cmplxmat"
@@ -70,6 +71,10 @@ var (
 	// ErrBadGroup reports a group id of 2^43 or more, which the frame
 	// key cannot hold without sharing another group's RNG substreams.
 	ErrBadGroup = fmt.Errorf("serve: group id must be below %d", uint64(groupLimit))
+	// ErrSeqExhausted reports a frame of a group that has already been
+	// served 2^20 frames: the frame key holds no further sequence
+	// number, and wrapping it would replay the group's first substreams.
+	ErrSeqExhausted = fmt.Errorf("serve: group frame sequence exhausted after %d frames", seqLimit)
 )
 
 // Config configures a Server. The zero value of every optional field
@@ -146,17 +151,35 @@ type Config struct {
 // default is sized against.
 const groupBudgetBytes = 64 << 20
 
-// defaultMaxGroups sizes the residency cap from the measured per-group
-// footprint: 48 per-subcarrier na×nc complex channel matrices, the
-// prepared state the cache derives from them (QR factors and scratch,
-// ≈4× the channel itself), and fixed map/struct overhead. For the
-// default 4×2 shape that is ≈32 KiB per group → ≈2048 resident groups
-// per shard, four times the old flat 512 cap that thrashed under 10k
-// users.
+// groupFixedBytes covers what a resident group holds once rather than
+// per subcarrier: its PrepPool struct with the shared QR workspace and
+// mode scratch, its groupState and its table entry.
+const groupFixedBytes = 4096
+
+// groupBytes models one resident group's live heap from its layout:
+// per data subcarrier, the channel (na·nc complex values in the
+// group's shared array, a matrix header and a pointer to it) and the
+// prepared slot (core.PrepSlotBytes); per group, groupFixedBytes; and
+// one eighth on top for the allocator rounding objects up to its size
+// classes.
+//
+// TestGroupFootprint holds the model to the measured heap (go1.24,
+// amd64, one frame served per group): a 4×2 group measures 43.2 KiB
+// in 14 heap objects against a 49.2 KiB model, a 4×4 group 73.1 KiB
+// in 14 objects against 83.0 KiB.
+func groupBytes(na, nc int) int {
+	chanSlot := 16*na*nc + int(unsafe.Sizeof(cmplxmat.Matrix{})) + 8
+	perGroup := ofdm.NumData*(chanSlot+core.PrepSlotBytes(na, nc)) + groupFixedBytes
+	return perGroup + perGroup/8
+}
+
+// defaultMaxGroups sizes the residency cap so the modelled state of
+// its groups fits groupBudgetBytes: ≈1330 groups per shard for the
+// default 4×2 shape, ≈790 for 4×4. The cap stays within 512…8192
+// groups, so a shape of 6×6 or larger exceeds the budget at the 512
+// floor rather than thrash its table.
 func defaultMaxGroups(na, nc int) int {
-	chanBytes := ofdm.NumData * na * nc * 16
-	perGroup := chanBytes + 4*chanBytes + 2048
-	n := groupBudgetBytes / perGroup
+	n := groupBudgetBytes / groupBytes(na, nc)
 	if n < 512 {
 		n = 512
 	}
@@ -240,6 +263,10 @@ func (c Config) runConfig() link.RunConfig {
 // 63-bit frame key; group ids get the bits above it.
 const seqBits = 20
 
+// seqLimit is the number of frames one group can be served: sequences
+// 0 … seqLimit−1 fit the key.
+const seqLimit = 1 << seqBits
+
 // groupLimit bounds the group ids a Server accepts to the 63−seqBits =
 // 43 bits above the sequence in the frame key. Process rejects larger
 // ids with ErrBadGroup instead of aliasing them onto a lower group's
@@ -248,9 +275,10 @@ const groupLimit = 1 << (63 - seqBits)
 
 // frameKey packs (group, seq) into the frame index that fixes the
 // frame's RNG substream. Unique per (group, seq) for groups below
-// groupLimit, which Process enforces; a group's sequence wraps after
-// 2^20 frames, replaying its substreams — acceptable for a
-// simulated-traffic service and kept explicit here.
+// groupLimit, which Process enforces, and sequences below seqLimit,
+// which serveGroup enforces: a frame past a group's last sequence
+// fails with ErrSeqExhausted rather than wrapping onto the group's
+// first substreams.
 func frameKey(group uint64, seq int64) int64 {
 	return int64(group)<<seqBits | (seq & (1<<seqBits - 1))
 }
@@ -276,7 +304,9 @@ type Outcome struct {
 // cache those channels warm — both materialized lazily on the group's
 // first served frame, so table residency is cheap until a group
 // actually transmits — plus the frame sequence counter and the
-// second-chance reference bit.
+// second-chance reference bit. The 48 channels share one backing array
+// (groupChannels) and the pool keeps its slots in per-pool slabs, so a
+// resident group is 14 heap objects (see groupBytes).
 type groupState struct {
 	hs   []*cmplxmat.Matrix
 	pool *core.PrepPool
@@ -577,12 +607,16 @@ func (sh *shard) drain() bool {
 
 // serveGroup serves one group's run of the drained batch as a single
 // ProcessBatch call: one group-table touch, one ladder decision, one
-// prepared-channel sweep.
+// prepared-channel sweep. Frames past the group's last sequence number
+// are not served: each fails with ErrSeqExhausted.
 func (sh *shard) serveGroup(gid uint64, gjobs []job, occ int) {
 	g := sh.group(gid)
 	tier := sh.srv.pickTier(occ, sh.ring.Cap(), g.pool.MeanKappa2dB())
 	frames := sh.frames[:0]
 	for range gjobs {
+		if g.seq >= seqLimit {
+			break
+		}
 		frames = append(frames, frameKey(gid, g.seq))
 		g.seq++
 	}
@@ -596,13 +630,16 @@ func (sh *shard) serveGroup(gid uint64, gjobs []job, occ int) {
 		Pool:     g.pool,
 	})
 	for i, j := range gjobs {
-		out := sh.outs[i]
-		o := Outcome{Group: gid, Frame: frames[i], Tier: tier, Err: out.Err}
-		if out.Err == nil {
-			o.OK = out.Res.FrameOK()
-			for _, ok := range out.Res.StreamOK {
-				if !ok {
-					o.StreamErrors++
+		o := Outcome{Group: gid, Err: ErrSeqExhausted}
+		if i < len(frames) {
+			out := sh.outs[i]
+			o = Outcome{Group: gid, Frame: frames[i], Tier: tier, Err: out.Err}
+			if out.Err == nil {
+				o.OK = out.Res.FrameOK()
+				for _, ok := range out.Res.StreamOK {
+					if !ok {
+						o.StreamErrors++
+					}
 				}
 			}
 		}
@@ -675,11 +712,20 @@ func (sh *shard) evict() {
 // substream. Static-per-group is the trace-replay regime — every frame
 // after the group's first hits the preparation cache on the Geosphere
 // tier.
+//
+// The matrices share one backing array and one header array, drawn in
+// subcarrier order with channel.RayleighInto — the draws
+// channel.Rayleigh would make one matrix at a time — so a group's
+// channels are three heap objects.
 func groupChannels(cfg Config, id uint64) []*cmplxmat.Matrix {
 	src := rng.Substream(cfg.Seed+1, int64(id))
 	hs := make([]*cmplxmat.Matrix, ofdm.NumData)
+	mats := make([]cmplxmat.Matrix, ofdm.NumData)
+	data := make([]complex128, ofdm.NumData*cfg.NA*cfg.NC)
 	for i := range hs {
-		hs[i] = channel.Rayleigh(src, cfg.NA, cfg.NC)
+		data = mats[i].Carve(data, cfg.NA, cfg.NC)
+		channel.RayleighInto(src, &mats[i])
+		hs[i] = &mats[i]
 	}
 	return hs
 }

@@ -491,3 +491,55 @@ func TestGroupIDLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestSeqExhausted: a group's last frame sequence is served with the
+// last key it owns; the frame after it fails with ErrSeqExhausted —
+// through Process and as 409 through /ingest — instead of wrapping
+// onto the group's first substreams.
+func TestSeqExhausted(t *testing.T) {
+	s, err := New(quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	const group = 5
+	first, err := s.Process(ctx, group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The reply orders the shard's writes before this read, and the
+	// ring push below orders this write before the shard's next read.
+	s.shardFor(group).groups[group].seq = seqLimit - 1
+	last, err := s.Process(ctx, group)
+	if err != nil {
+		t.Fatalf("last sequence: %v", err)
+	}
+	if last.Frame != frameKey(group, seqLimit-1) || last.Frame == first.Frame {
+		t.Fatalf("last sequence served with key %d (first frame %d)", last.Frame, first.Frame)
+	}
+	before := s.Stats().Snapshot()
+	o, err := s.Process(ctx, group)
+	if !errors.Is(err, ErrSeqExhausted) || !errors.Is(o.Err, ErrSeqExhausted) {
+		t.Fatalf("frame past the last sequence: outcome %+v, error %v, want ErrSeqExhausted", o, err)
+	}
+	after := s.Stats().Snapshot()
+	if after.Frames != before.Frames+1 || after.FrameErrors != before.FrameErrors+1 {
+		t.Errorf("exhausted frame not counted as a failed frame: %+v → %+v", before, after)
+	}
+	// Other groups are unaffected.
+	if _, err := s.Process(ctx, group+1); err != nil {
+		t.Fatalf("neighbouring group: %v", err)
+	}
+
+	ts := httptest.NewServer(NewHandler(s, nil))
+	defer ts.Close()
+	resp, err := ts.Client().Post(ts.URL+"/ingest?group=5", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("ingest of an exhausted group: status %d, want %d", resp.StatusCode, http.StatusConflict)
+	}
+}
