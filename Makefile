@@ -98,11 +98,14 @@ serve-bench:
 # lane-parallel recursion (every lane must equal the one-codeword
 # recursion in bits and metric), the in-place reseedable random
 # source (New and Reseed must draw math/rand's stream for any seed),
-# and the clamp-first axis slicer (it must equal the rounding formula
-# wherever that is defined, and the clamp everywhere else).
+# the clamp-first axis slicer (it must equal the rounding formula
+# wherever that is defined, and the clamp everywhere else), and the
+# preparation pool's shares (a slot that copies another slot's fill
+# must equal a standalone fill bit for bit on any slot/channel walk).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDetectAgreement -fuzztime 20s ./internal/core
 	go test -run '^$$' -fuzz FuzzProjectionCache -fuzztime 10s ./internal/core
+	go test -run '^$$' -fuzz FuzzPrepShare -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz FuzzHardDecodeBypass -fuzztime 10s ./internal/fec
 	go test -run '^$$' -fuzz FuzzHardDecodeLanes -fuzztime 10s ./internal/fec
 	go test -run '^$$' -fuzz FuzzSourceMatchesMathRand -fuzztime 10s ./internal/rng

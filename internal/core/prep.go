@@ -40,6 +40,13 @@ const (
 // computed only when asked for, since no cache decision reads it and a
 // fill must not pay for it.
 //
+// A miss that no rank-1 update absorbs is refilled from the store's
+// share record before it is factorized: when the slot the store last
+// fully filled still holds that fill, in the same mode, of a channel
+// bitwise equal to h, the slot copies the derivation (see share). So a
+// pool refactorizes each distinct channel of a frame once, not once per
+// subcarrier.
+//
 // The retained state lives in the slabs of a prepStore, and the
 // factorization and mode scratch is the store's too (see prepStore):
 // a PrepPool's slots share the pool's store, and a zero
@@ -181,6 +188,14 @@ type prepStore struct {
 	vcol        []complex128    // one-hot right factor
 	energy      []float64       // column energies for the ordering pass
 	permScratch []int           // reordering probe, ordered mode
+
+	// The share record (see PreparedChannel.share): the slot whose full
+	// fill ran last and its epoch right after that fill, which tells a
+	// later refill of that slot, an update of it or an invalidation
+	// apart from the fill itself. shares counts the fills it saved.
+	last      *PreparedChannel
+	lastEpoch uint64
+	shares    uint64
 }
 
 // store returns pc's store, making a one-slot store for a standalone
@@ -378,7 +393,56 @@ func (pc *PreparedChannel) fill(h *cmplxmat.Matrix, mode prepMode) error {
 	pc.mode = mode
 	pc.epoch++
 	pc.chain = 0
+	st.last, st.lastEpoch = pc, pc.epoch
 	return nil
+}
+
+// share fills pc by copying the derivation of the store's last full
+// fill when that fill was of h itself, bit for bit, in mode. fill is a
+// pure function of (h, mode) — the store's scratch carries nothing
+// from one call to the next — so the copy is bitwise what fill(h, mode)
+// would compute, at the cost of a copy instead of a factorization:
+// every subcarrier of a flat-fading frame after the first prepares
+// this way. It reports false and touches nothing when the record is
+// stale (the source slot was refilled, updated or invalidated since:
+// its epoch or mode moved), was made in another mode, or holds another
+// channel. The compare is on the float bits, so even channels that
+// differ only in the sign of a zero never share.
+//
+//geolint:noalloc
+func (pc *PreparedChannel) share(h *cmplxmat.Matrix, mode prepMode) bool {
+	st := pc.st
+	if st == nil {
+		return false
+	}
+	src := st.last
+	if src == nil || src == pc || src.epoch != st.lastEpoch || src.mode != mode ||
+		src.hcopy.Rows != h.Rows || src.hcopy.Cols != h.Cols {
+		return false
+	}
+	for i, v := range src.hcopy.Data {
+		w := h.Data[i]
+		if math.Float64bits(real(v)) != math.Float64bits(real(w)) ||
+			math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
+			return false
+		}
+	}
+	if sh := shapeOf(h, mode); !pc.fits(sh) {
+		st.take(pc, sh)
+	}
+	copy(pc.hcopy.Data, src.hcopy.Data)
+	copy(pc.qr.Q.Data, src.qr.Q.Data)
+	copy(pc.qr.R.Data, src.qr.R.Data)
+	copy(pc.rll2, src.rll2)
+	copy(pc.rinv, src.rinv)
+	pc.perm = pc.perm[:len(src.perm)]
+	copy(pc.perm, src.perm)
+	pc.kappa2 = src.kappa2
+	pc.mode = mode
+	pc.epoch++
+	pc.chain = 0
+	st.shares++
+	return true
 }
 
 // rebuildDiagTables re-derives the |R[l][l]|² and 1/R[l][l] tables the
@@ -533,8 +597,11 @@ func (pc *PreparedChannel) tryUpdate(h *cmplxmat.Matrix, mode prepMode) bool {
 
 // prepare is the shared fast-path/refill sequence every SharedPreparer
 // runs: revalidate the cache against h, absorb a slowly-drifted miss
-// with rank-1 QR updates when the incremental path is enabled, and
-// fall back to a full refill otherwise.
+// with rank-1 QR updates when the incremental path is enabled, copy
+// the store's last full fill when it was of h (share), and fall back
+// to a full refill otherwise. The share comes after the update, so
+// with incremental preparation on it replaces only the calls where
+// fill would have run. Only a hit reports true.
 //
 //geolint:noalloc
 func (pc *PreparedChannel) prepare(h *cmplxmat.Matrix, mode prepMode) (bool, error) {
@@ -542,6 +609,9 @@ func (pc *PreparedChannel) prepare(h *cmplxmat.Matrix, mode prepMode) (bool, err
 		return true, nil
 	}
 	if pc.incremental && pc.tryUpdate(h, mode) {
+		return false, nil
+	}
+	if pc.share(h, mode) {
 		return false, nil
 	}
 	return false, pc.fill(h, mode)
@@ -624,9 +694,12 @@ func fnvMix(h, bits uint64) uint64 {
 // pc first: on a hit (pc already holds this channel's derivation) the
 // factorization, ordering and table construction are all skipped.
 //
-// The hit return value reports whether the cache was reused; it feeds
-// the hit/miss counters the observability layer publishes and is never
-// allowed to influence detection results.
+// The hit return value reports whether pc's own entry already held h's
+// derivation. A refill reports false however it was done: a full
+// factorization, a rank-1 update, or a copy of another pool slot's
+// fill of the same channel (a share). It feeds the cache counters the
+// observability layer publishes and is never allowed to influence
+// detection results.
 type SharedPreparer interface {
 	Detector
 	PrepareShared(pc *PreparedChannel, h *cmplxmat.Matrix) (hit bool, err error)
@@ -635,14 +708,17 @@ type SharedPreparer interface {
 // PrepPool holds one PreparedChannel per slot — one per OFDM data
 // subcarrier in the link pipeline — so a worker's detector re-prepares
 // each subcarrier only when that subcarrier's channel actually
-// changes. The slots keep their state in one slab per element type,
-// carved at the pool's first fill, and share one QR workspace and one
-// set of mode scratch (prepStore): a pool of any slot count is a
-// handful of heap objects. The pool and its workspace belong to one
-// goroutine: it is not safe for concurrent use, and each pipeline
-// worker and each resident serving group has its own pool, used only
-// by the goroutine serving it. A pool is used through the pointer
-// NewPrepPool returns; its slots point into it.
+// changes. A slot whose channel did change copies the derivation of
+// the slot the pool last factorized when that was the same channel (a
+// share), so a flat-fading frame, one matrix on every subcarrier,
+// factorizes once. The slots keep their state in one slab per element
+// type, carved at the pool's first fill, and share one QR workspace,
+// one set of mode scratch and the share record (prepStore): a pool of
+// any slot count is a handful of heap objects. The pool and its
+// workspace belong to one goroutine: it is not safe for concurrent
+// use, and each pipeline worker and each resident serving group has
+// its own pool, used only by the goroutine serving it. A pool is used
+// through the pointer NewPrepPool returns; its slots point into it.
 type PrepPool struct {
 	pcs          []PreparedChannel
 	store        prepStore // every slot's slab and the scratch they share
@@ -678,7 +754,7 @@ func (p *PrepPool) Slots() int { return len(p.pcs) }
 func (p *PrepPool) Prepare(det Detector, slot int, h *cmplxmat.Matrix) error {
 	if sp, ok := det.(SharedPreparer); ok && slot >= 0 && slot < len(p.pcs) {
 		pc := &p.pcs[slot]
-		before := pc.updates
+		updates, shares := pc.updates, p.store.shares
 		hit, err := sp.PrepareShared(pc, h)
 		if err != nil {
 			return err
@@ -686,8 +762,9 @@ func (p *PrepPool) Prepare(det Detector, slot int, h *cmplxmat.Matrix) error {
 		switch {
 		case hit:
 			p.hits++
-		case pc.updates != before:
+		case pc.updates != updates:
 			p.qrUpdates++
+		case p.store.shares != shares: // counted by the store
 		default:
 			p.misses++
 		}
@@ -698,9 +775,17 @@ func (p *PrepPool) Prepare(det Detector, slot int, h *cmplxmat.Matrix) error {
 }
 
 // Counters returns the cumulative cache hit and miss counts. A miss
-// absorbed by the incremental QR-update path counts as neither; it is
-// reported separately by QRUpdates.
+// absorbed by the incremental QR-update path counts as neither, and so
+// does one served by copying another slot's fill of the same channel;
+// QRUpdates and Shares report those. Every probe through a
+// SharedPreparer is exactly one of the four.
 func (p *PrepPool) Counters() (hits, misses uint64) { return p.hits, p.misses }
+
+// Shares returns the number of slot refills served by copying the
+// derivation of another slot's full fill of the same channel instead
+// of factorizing it again: on a flat-fading frame, every subcarrier
+// after the first.
+func (p *PrepPool) Shares() uint64 { return p.store.shares }
 
 // QRUpdates returns the number of cache misses that were absorbed by
 // rank-1 QR updates instead of full refactorizations. Always zero

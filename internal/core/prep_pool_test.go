@@ -64,15 +64,7 @@ func samePrepared(a, b *PreparedChannel) string {
 // storage: in the plain QR, ordered QR and RVD modes, sharing must not
 // change a single bit of any slot's derivation.
 func TestPrepPoolSharedStoreMatchesStandalone(t *testing.T) {
-	cons := constellation.QAM16
-	for _, tc := range []struct {
-		name string
-		det  SharedPreparer
-	}{
-		{"QR", NewETHSD(cons)},
-		{"ordered", NewGeosphere(cons)},
-		{"RVD", NewRVD(cons)},
-	} {
+	for _, tc := range shareModes() {
 		src := rng.New(67)
 		const slots = 6
 		pool := NewPrepPool(slots)

@@ -224,7 +224,8 @@ func TestPrepPool(t *testing.T) {
 		{1, h2, false}, // cold fill slot 1
 		{0, h1, true},  // unchanged slot 0
 		{1, h2, true},  // unchanged slot 1
-		{0, h2, false}, // slot 0 now sees h2: refill
+		{0, h2, false}, // slot 0 now sees h2: copies slot 1's fill (a share)
+		{1, h1, false}, // slot 1 now sees h1, which no fill holds: refill
 		{7, h1, false}, // out of range: uncached fallback
 	} {
 		if err := p.Prepare(d, step.slot, step.h); err != nil {
@@ -232,8 +233,8 @@ func TestPrepPool(t *testing.T) {
 		}
 	}
 	hits, misses := p.Counters()
-	if hits != 2 || misses != 4 {
-		t.Errorf("counters = %d hits / %d misses, want 2/4", hits, misses)
+	if hits != 2 || misses != 4 || p.Shares() != 1 {
+		t.Errorf("counters = %d hits / %d misses / %d shares, want 2/4/1", hits, misses, p.Shares())
 	}
 
 	// A detector without PrepareShared always counts a miss but still

@@ -440,8 +440,36 @@ func TestProcessAllocCeiling(t *testing.T) {
 
 // BenchmarkProcess measures the frame path's per-frame cost on the
 // processFixture workload: single is one frame per Process call, batch4
-// one 4-frame ProcessBatch sweep, reported per frame.
+// one 4-frame ProcessBatch sweep, reported per frame. flat is the
+// fading regime instead: 4×4 16-QAM, one symbol, a fresh flat Rayleigh
+// channel every frame (one matrix on all 48 subcarriers, drawn inside
+// the timed loop), through a Geosphere detector and a pool.
 func BenchmarkProcess(b *testing.B) {
+	b.Run("flat", func(b *testing.B) {
+		cfg := RunConfig{Cons: constellation.QAM16, Rate: fec.Rate12, NumSymbols: 1, SNRdB: 24, Seed: 2015}
+		proc, err := NewProcessor(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src, err := NewRayleighSource(rng.New(2015), 4, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		det, pool := core.NewGeosphere(cfg.Cons), core.NewPrepPool(ofdm.NumData)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hs, err := src.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out := proc.Process(Work{Frame: int64(i), Channels: hs, Det: det, Pool: pool}); out.Err != nil {
+				b.Fatal(out.Err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+	})
 	b.Run("single", func(b *testing.B) {
 		proc, w := processFixture(b)
 		b.ReportAllocs()

@@ -190,10 +190,10 @@ func (p *Processor) sweep(dst []FrameOutcome, w BatchWork, nc int) ([]FrameOutco
 	// this batch's share is the snapshot delta (zero-based for fresh
 	// detectors, where the snapshot is zero).
 	before, _ := core.StatsOf(det)
-	var hitsBefore, missesBefore, updatesBefore uint64
+	var hitsBefore, missesBefore, updatesBefore, sharesBefore uint64
 	if w.Pool != nil {
 		hitsBefore, missesBefore = w.Pool.Counters()
-		updatesBefore = w.Pool.QRUpdates()
+		updatesBefore, sharesBefore = w.Pool.QRUpdates(), w.Pool.Shares()
 	}
 	var schedBefore policy.Counters
 	sched, adaptive := det.(schedCounters)
@@ -272,6 +272,7 @@ func (p *Processor) sweep(dst []FrameOutcome, w BatchWork, nc int) ([]FrameOutco
 				h, m := w.Pool.Counters()
 				fs.PrepHits, fs.PrepMisses = h-hitsBefore, m-missesBefore
 				fs.QRUpdates = w.Pool.QRUpdates() - updatesBefore
+				fs.PrepShares = w.Pool.Shares() - sharesBefore
 			}
 			fs.ProjReuse = batchStats.ProjReuse
 			if adaptive {

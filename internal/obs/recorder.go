@@ -134,10 +134,14 @@ type FrameSample struct {
 	// outcomes (per-subcarrier PreparedChannel reuse vs refill) of the
 	// frame's detection sweep: one probe per subcarrier per sweep,
 	// however many frames and symbols it covers, folded into the
-	// sweep's first frame. Both are zero when the pipeline runs without
-	// a prep pool.
+	// sweep's first frame. PrepShares counts the refills served by
+	// copying another subcarrier's fill of the same channel (every
+	// subcarrier but the first of a flat-fading sweep); with QRUpdates,
+	// the four add up to the sweep's probes. All are zero when the
+	// pipeline runs without a prep pool.
 	PrepHits   uint64
 	PrepMisses uint64
+	PrepShares uint64
 	// ProjReuse counts interference-projection terms the frame's tree
 	// searches served from the incremental projection stack instead of
 	// recomputing (core.Stats.ProjReuse delta).
@@ -318,6 +322,7 @@ type StatsRecorder struct {
 	streamErrors Counter
 	prepHits     Counter
 	prepMisses   Counter
+	prepShares   Counter
 	projReuse    Counter
 	qrUpdates    Counter
 	tiers        [numTiers]Counter
@@ -404,6 +409,7 @@ func (r *StatsRecorder) RecordFrame(s FrameSample) {
 	r.streamErrors.Add(int64(s.StreamErrors))
 	r.prepHits.Add(int64(s.PrepHits))
 	r.prepMisses.Add(int64(s.PrepMisses))
+	r.prepShares.Add(int64(s.PrepShares))
 	r.projReuse.Add(s.ProjReuse)
 	r.qrUpdates.Add(int64(s.QRUpdates))
 	r.schedZF.Add(int64(s.SchedZF))
@@ -479,15 +485,16 @@ type DecodeSnapshot struct {
 	PathMetric  HistogramSnapshot `json:"path_metric"`
 }
 
-// FrameSnapshot aggregates the link layer. PrepareHits and
-// PrepareMisses total the channel-preparation cache outcomes across
-// all workers; their sum is the number of detector preparations, and
-// the hit fraction is the cache's effectiveness for the run.
-// ProjReuse totals the interference-projection terms the tree searches
-// served from their incremental projection stacks, and QRUpdates the
-// preparations absorbed by rank-1 QR updates instead of full
-// refactorizations. Tiers splits the frames by degradation-ladder
-// rung (all mass on "none" outside the serving path).
+// FrameSnapshot aggregates the link layer. PrepareHits,
+// PrepareMisses, PrepareShares and QRUpdates total the
+// channel-preparation cache outcomes across all workers: hits reuse a
+// subcarrier's own cached derivation, shares copy another subcarrier's
+// fill of the same channel, QR updates absorb a drift with rank-1
+// updates and misses refactorize. Their sum is the number of detector
+// preparations. ProjReuse totals the interference-projection terms the
+// tree searches served from their incremental projection stacks. Tiers
+// splits the frames by degradation-ladder rung (all mass on "none"
+// outside the serving path).
 type FrameSnapshot struct {
 	Frames        int64            `json:"frames"`
 	FrameErrors   int64            `json:"frame_errors"`
@@ -495,6 +502,7 @@ type FrameSnapshot struct {
 	StreamErrors  int64            `json:"stream_errors"`
 	PrepareHits   int64            `json:"prepare_hits"`
 	PrepareMisses int64            `json:"prepare_misses"`
+	PrepareShares int64            `json:"prepare_shares"`
 	ProjReuse     int64            `json:"proj_reuse"`
 	QRUpdates     int64            `json:"qr_updates"`
 	Tiers         TierSnapshot     `json:"tiers"`
@@ -570,6 +578,7 @@ func (r *StatsRecorder) Snapshot() Snapshot {
 			StreamErrors:  r.streamErrors.Load(),
 			PrepareHits:   r.prepHits.Load(),
 			PrepareMisses: r.prepMisses.Load(),
+			PrepareShares: r.prepShares.Load(),
 			ProjReuse:     r.projReuse.Load(),
 			QRUpdates:     r.qrUpdates.Load(),
 			Tiers: TierSnapshot{
@@ -652,9 +661,10 @@ func (s Snapshot) WriteText(w io.Writer) {
 		s.Decode.Decodes, s.Decode.CRCFailures, s.Decode.Bypassed, s.Decode.ACSCalls, laneFill, s.Decode.PathMetric.Mean())
 	fmt.Fprintf(w, "  frames: %d (%d errors), %d streams (%d errors), %.2fs busy\n",
 		s.Frames.Frames, s.Frames.FrameErrors, s.Frames.Streams, s.Frames.StreamErrors, s.Frames.BusySeconds)
-	if total := s.Frames.PrepareHits + s.Frames.PrepareMisses + s.Frames.QRUpdates; total > 0 {
-		fmt.Fprintf(w, "  prepare cache: %d hits / %d preparations (%.1f%% hit rate), %d QR updates\n",
-			s.Frames.PrepareHits, total, 100*float64(s.Frames.PrepareHits)/float64(total), s.Frames.QRUpdates)
+	fr := s.Frames
+	if total := fr.PrepareHits + fr.PrepareShares + fr.QRUpdates + fr.PrepareMisses; total > 0 {
+		fmt.Fprintf(w, "  prepare cache: %d preparations: %d hits (%.1f%%), %d shares, %d QR updates, %d misses\n",
+			total, fr.PrepareHits, 100*float64(fr.PrepareHits)/float64(total), fr.PrepareShares, fr.QRUpdates, fr.PrepareMisses)
 	}
 	if s.Frames.ProjReuse > 0 {
 		fmt.Fprintf(w, "  projection stack: %d reused terms\n", s.Frames.ProjReuse)

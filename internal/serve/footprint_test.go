@@ -68,8 +68,8 @@ func groupFootprint(tb testing.TB, na, nc, groups int) (bytes, objects float64) 
 // TestGroupFootprint holds the residency model to the measured heap:
 // for the 4×2 and 4×4 shapes, the live bytes a resident group adds
 // stay at or below groupBytes, which defaultMaxGroups sizes the cap
-// against, in at most 16 heap objects, and the default cap's groups
-// fit groupBudgetBytes.
+// against, in at most 16 heap objects; and for every shape from 4×2
+// to 8×8, the default cap's modelled groups fit groupBudgetBytes.
 func TestGroupFootprint(t *testing.T) {
 	const maxObjects = 16
 	for _, sh := range [][2]int{{4, 2}, {4, 4}} {
@@ -84,9 +84,18 @@ func TestGroupFootprint(t *testing.T) {
 		if objects > maxObjects {
 			t.Errorf("%d×%d: %.1f heap objects per group, want at most %d", na, nc, objects, maxObjects)
 		}
-		if capBytes := defaultMaxGroups(na, nc) * model; capBytes > groupBudgetBytes {
-			t.Errorf("%d×%d: default cap holds %d modelled bytes, above the %d-byte budget", na, nc, capBytes, groupBudgetBytes)
+	}
+	// The budget bounds the default cap for every shape, large ones
+	// included; the 4×2 and 4×4 caps are the ones the service runs at.
+	for na := 4; na <= 8; na += 2 {
+		for nc := 2; nc <= na; nc += 2 {
+			if capBytes := defaultMaxGroups(na, nc) * groupBytes(na, nc); capBytes > groupBudgetBytes {
+				t.Errorf("%d×%d: default cap holds %d modelled bytes, above the %d-byte budget", na, nc, capBytes, groupBudgetBytes)
+			}
 		}
+	}
+	if c42, c44 := defaultMaxGroups(4, 2), defaultMaxGroups(4, 4); c42 != 1331 || c44 != 789 {
+		t.Errorf("default caps 4×2 %d, 4×4 %d; want 1331 and 789", c42, c44)
 	}
 }
 

@@ -115,7 +115,7 @@ type Config struct {
 	// user population; a returning evicted group is rebuilt lazily
 	// from its substreams with its frame sequence restarted). Defaults
 	// to the number of groups whose measured state fits the per-shard
-	// residency budget (at least 512), so the global cap is
+	// residency budget (at least one group), so the global cap is
 	// Shards × MaxGroups groups.
 	MaxGroups int
 	// KBestK is the K-best list size of the middle ladder rung;
@@ -175,13 +175,12 @@ func groupBytes(na, nc int) int {
 
 // defaultMaxGroups sizes the residency cap so the modelled state of
 // its groups fits groupBudgetBytes: ≈1330 groups per shard for the
-// default 4×2 shape, ≈790 for 4×4. The cap stays within 512…8192
-// groups, so a shape of 6×6 or larger exceeds the budget at the 512
-// floor rather than thrash its table.
+// default 4×2 shape, ≈790 for 4×4, ≈425 for 6×6. The budget wins for
+// every shape: the cap is at least one group and at most 8192.
 func defaultMaxGroups(na, nc int) int {
 	n := groupBudgetBytes / groupBytes(na, nc)
-	if n < 512 {
-		n = 512
+	if n < 1 {
+		n = 1
 	}
 	if n > 8192 {
 		n = 8192

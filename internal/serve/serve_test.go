@@ -61,7 +61,7 @@ func TestDefaults(t *testing.T) {
 	// flat 512 cap, and large enough that the recorded 10k-user load
 	// (1250 groups/shard) stays resident without thrash.
 	if cfg.MaxGroups < 512 {
-		t.Fatalf("MaxGroups default %d below the 512 floor", cfg.MaxGroups)
+		t.Fatalf("MaxGroups default %d below the old flat 512 cap", cfg.MaxGroups)
 	}
 	if cfg.MaxGroups < 1250 {
 		t.Fatalf("MaxGroups default %d cannot hold 10k users across 8 shards", cfg.MaxGroups)
